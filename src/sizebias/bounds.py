@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom, poisson
 
-from .dist_core import DiscreteDist, merge_atoms
-from .errors import DomainError
+from .dist_core import DiscreteDist, binom_pmf, merge_atoms, poisson_pmf, poisson_reach
+from .errors import BoundViolated, DomainError
 
 TAIL_TERM_CUT = 1e-18      # stop tail sums once terms fall below this x partial
 
@@ -42,8 +41,8 @@ class ConcentrationParams:
     x: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0 or self.x <= 0:
-            raise ValueError("a, c, x must all be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.c, self.x)):
+            raise ValueError("a, c, x must all be positive and finite")
 
 
 def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
@@ -72,10 +71,6 @@ def estimate_coupling_gap(draw_pair, n: int, rng, tag="monte carlo") -> Coupling
     return CouplingGap(float(gaps.mean()), tag, se=float(gaps.std(ddof=1) / math.sqrt(n)))
 
 
-def _poisson_pmf_block(lam: float, hi: int) -> np.ndarray:
-    return poisson.pmf(np.arange(hi + 1), lam)
-
-
 def binomial_poisson_check(n: int, p: float):
     """(Stein bound, exact TV) for a binomial against Poisson(np).
 
@@ -88,20 +83,16 @@ def binomial_poisson_check(n: int, p: float):
         raise ValueError(f"need n >= 1 and p in (0,1), got n={n}, p={p}")
     lam = n * p
     bound = stein_poisson_bound(lam, p)
-    # walk the Poisson terms out past n until they are dust
-    term = math.exp(-lam)
-    total = term
-    k = 0
-    while k < n or term >= TAIL_TERM_CUT * total:
-        k += 1
-        term *= lam / k
-        total += term
-    hi = k
-    poi = _poisson_pmf_block(lam, hi)
-    bi = np.zeros(hi + 1)
-    bi[: n + 1] = binom.pmf(np.arange(n + 1), n, p)
+    # cut the Poisson terms at the first k >= n where a term is dust next
+    # to the running total
+    poi = poisson_pmf(lam, max(n, poisson_reach(lam)))
+    dust = poi[n:] < TAIL_TERM_CUT * np.cumsum(poi)[n:]
+    poi = poi[: n + int(np.argmax(dust)) + 1]
+    bi = np.zeros(poi.size)
+    bi[: n + 1] = binom_pmf(n, p)
     exact = 0.5 * (float(np.abs(bi - poi).sum()) + max(0.0, 1.0 - poi.sum()))
-    assert exact <= bound * (1 + 1e-12) + 1e-15
+    if exact > bound * (1 + 1e-12) + 1e-15:
+        raise BoundViolated(f"exact distance {exact} exceeds the Stein bound {bound}")
     return bound, exact
 
 
@@ -109,8 +100,36 @@ def binomial_poisson_check(n: int, p: float):
 # concentration from a bounded coupling
 # ===================================================================
 
+def _bd0(x, a):
+    """x log(x/a) + a - x without the cancellation near x = a.
+
+    Near a the log is expanded in v = (x - a)/(x + a), whose series
+    leads with (x - a) v (Loader 2000, "Fast and accurate computation
+    of binomial probabilities").
+    """
+    if abs(x - a) >= 0.1 * (x + a):
+        return x * math.log(x / a) + a - x
+    v = (x - a) / (x + a)
+    total = (x - a) * v
+    term = 2 * x * v
+    j = 1
+    while True:
+        term *= v * v
+        nxt = total + term / (2 * j + 1)
+        if nxt == total:
+            return total
+        total = nxt
+        j += 1
+
+
 def _tight(a, c, x):
-    return (a / x) ** (x / c) * math.exp((x - a) / c)
+    # (a/x)^(x/c) e^((x-a)/c) = exp(-bd0(x, a)/c), which cannot overflow
+    return math.exp(-_bd0(x, a) / c)
+
+
+def _check_order(tight, gauss):
+    if tight > gauss + 1e-15:
+        raise BoundViolated(f"tight bound {tight} exceeds the gaussian bound {gauss}")
 
 
 def concentration_upper(cp: ConcentrationParams):
@@ -123,7 +142,7 @@ def concentration_upper(cp: ConcentrationParams):
         raise DomainError(f"upper tail needs x >= a, got x={cp.x} a={cp.a}")
     tight = _tight(cp.a, cp.c, cp.x)
     gauss = math.exp(-((cp.x - cp.a) ** 2) / (cp.c * (cp.a + cp.x)))
-    assert tight <= gauss + 1e-15
+    _check_order(tight, gauss)
     return tight, gauss
 
 
@@ -133,7 +152,7 @@ def concentration_lower(cp: ConcentrationParams):
         raise DomainError(f"lower tail needs x <= a, got x={cp.x} a={cp.a}")
     tight = _tight(cp.a, cp.c, cp.x)
     gauss = math.exp(-((cp.a - cp.x) ** 2) / (2.0 * cp.c * cp.a))
-    assert tight <= gauss + 1e-15
+    _check_order(tight, gauss)
     return tight, gauss
 
 
@@ -142,15 +161,19 @@ def tail_iteration(cp: ConcentrationParams) -> float:
 
     The product of the stepped ratios bounds the tail with the final
     factor capped at 1; it lands within a factor e of the closed form.
+    The m = ceil((x - a)/c) factors a/(x - j c), j < m, multiply to
+    (a/c)^m Gamma(x/c - m + 1) / Gamma(x/c + 1).
     """
-    if cp.x <= cp.a:
-        raise DomainError(f"iteration needs x > a, got x={cp.x} a={cp.a}")
-    prod = 1.0
-    xk = cp.x
-    while xk > cp.a:
-        prod *= cp.a / xk
-        xk -= cp.c
-    return prod
+    a, c, x = cp.a, cp.c, cp.x
+    if x <= a:
+        raise DomainError(f"iteration needs x > a, got x={x} a={a}")
+    r = x / c
+    if r > 1e300:
+        raise DomainError(f"x/c = {r:.3g} is past the range of log Gamma")
+    m = math.ceil((x - a) / c)
+    log_prod = m * math.log(a / c) - math.lgamma(r + 1) + math.lgamma(r - m + 1)
+    # every factor is below 1; the cap keeps rounding at huge x/c from overflowing
+    return math.exp(min(log_prod, 0.0))
 
 
 # exact Poisson tails for calibration against the bounds
@@ -168,10 +191,5 @@ def poisson_upper_tail(a: float, x: int) -> float:
 
 
 def poisson_lower_tail(a: float, x: int) -> float:
-    """P(X <= x) for Poisson(a) by direct summation."""
-    term = math.exp(-a)
-    total = term
-    for k in range(1, x + 1):
-        term *= a / k
-        total += term
-    return total
+    """P(X <= x) for Poisson(a), summing log-space terms that cannot underflow early."""
+    return float(poisson_pmf(a, x).sum())

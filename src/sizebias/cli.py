@@ -312,6 +312,8 @@ def _cmd_midzuno(args) -> dict:
 
 
 def _cmd_renewal(args) -> dict:
+    if args.n < 2:
+        raise SizeBiasError("renewal needs --n >= 2 for a standard error")
     dist = parse_dist(args.interarrival)
     sizes = [args.n // args.workers + (1 if w < args.n % args.workers else 0)
              for w in range(args.workers)]
@@ -481,22 +483,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig.from_namespace(args)
     try:
-        result = args.func(args)
-    except SizeBiasError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        _emit(args.func(args), cfg)
+    except BrokenPipeError:
+        # reader went away; silence the shutdown flush and bail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError, KeyError) as e:
+        # SizeBiasError is a ValueError; the writer raises one on non-finite output
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
-    try:
-        _emit(result, cfg)
-    except BrokenPipeError:
-        # reader went away; silence the shutdown flush and bail quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     return 0
 
 

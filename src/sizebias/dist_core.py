@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import trapezoid
-from scipy.special import gammaln
 
 from .errors import (
     AtomAtZero,
@@ -31,6 +28,43 @@ ATOM_MERGE_TOL = 1e-12     # support points closer than this are one atom
 PROB_SUM_TOL = 1e-12       # |sum(p) - 1| allowed
 ATOM_EQ_TOL = 1e-9         # default atom-wise distribution equality
 FD_STEP = 1e-5             # central difference step for the char fn derivative
+
+
+# ===================================================================
+# closed-form numerics
+# ===================================================================
+
+def trapezoid(y, x=None, dx=1.0):
+    """1-D trapezoid rule, with the same arithmetic as scipy.integrate.trapezoid."""
+    y = np.asarray(y)
+    d = dx if x is None else np.diff(np.asarray(x))
+    return (d * (y[1:] + y[:-1]) / 2.0).sum()
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def binom_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) masses on 0..n, computed in log space."""
+    if p == 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[n] = 1.0
+        return pmf
+    ks = np.arange(n + 1)
+    lf = _log_factorials(n)
+    return np.exp(lf[n] - lf - lf[::-1] + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
+def poisson_reach(lam: float) -> int:
+    """A k past which every Poisson(lam) mass is below 1e-30."""
+    return int(lam + 20 * math.sqrt(lam)) + 60
+
+
+def poisson_pmf(lam: float, hi: int) -> np.ndarray:
+    """Poisson(lam) masses on 0..hi, computed in log space so no term underflows early."""
+    return np.exp(np.arange(hi + 1) * math.log(lam) - lam - _log_factorials(hi))
 
 
 # ===================================================================
@@ -75,6 +109,8 @@ class DiscreteDist:
         object.__setattr__(self, "ps", ps)
         if xs.ndim != 1 or ps.ndim != 1 or xs.size != ps.size or xs.size == 0:
             raise ValueError("atoms must be two equal-length nonempty vectors")
+        if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
+            raise ValueError("support points and probabilities must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("support points must be strictly increasing")
         if not self.signed and xs[0] < 0:
@@ -128,10 +164,12 @@ class GridDensity:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.h <= 0:
-            raise ValueError(f"grid step must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid step must be positive and finite, got {self.h}")
         if values.ndim != 1 or values.size < 2:
             raise ValueError("need at least two grid values")
+        if not np.isfinite(values).all():
+            raise ValueError("density values must be finite")
         if np.any(values < -1e-12):
             raise ValueError(f"negative density value {values.min()}")
         if not 0.0 <= self.atom0 <= 1.0:
@@ -180,6 +218,8 @@ class NamedDist:
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if len(self.params) != _NAMED_KINDS[self.kind]:
             raise ValueError(f"{self.kind} takes {_NAMED_KINDS[self.kind]} parameters")
+        if not all(math.isfinite(v) for v in self.params):
+            raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
         k, p = self.kind, self.params
         if k == "poisson" and p[0] <= 0:
             raise ValueError("poisson rate must be > 0")
@@ -282,15 +322,17 @@ def tabulate_named(nd: NamedDist, tail_tol=1e-12) -> DiscreteDist:
         return DiscreteDist(np.array([0.0, 1.0]), np.array([1 - p[0], p[0]]))
     if k == "binomial":
         n = int(p[0])
-        ks = np.arange(n + 1)
-        return DiscreteDist(ks.astype(float), stats.binom.pmf(ks, n, p[1]))
+        return DiscreteDist(np.arange(n + 1.0), binom_pmf(n, p[1]))
     if k == "poisson":
         lam = p[0]
-        hi = int(stats.poisson.ppf(1 - tail_tol / 4, lam)) + 10
-        ks = np.arange(hi + 1)
-        pmf = stats.poisson.pmf(ks, lam)
+        pmf = poisson_pmf(lam, poisson_reach(lam))
+        # cut 10 past the 1 - tail_tol/4 quantile; P(X <= k) is taken as one
+        # minus the right tail, which sums without cancellation
+        upper = np.cumsum(pmf[::-1])[::-1]
+        hi = int(np.argmax(1.0 - upper[1:] >= 1 - tail_tol / 4)) + 10
+        pmf = pmf[: hi + 1]
         tail = 1.0 - pmf.sum()
-        return DiscreteDist(ks.astype(float), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
+        return DiscreteDist(np.arange(hi + 1.0), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
     if k == "geometric":
         q = 1 - p[0]
         if q == 0.0:
@@ -306,24 +348,42 @@ def tabulate_named(nd: NamedDist, tail_tol=1e-12) -> DiscreteDist:
 
 
 def named_density(nd: NamedDist, h=1e-3) -> GridDensity:
-    """Grid tabulation of a continuous named family, renormalized."""
+    """Grid tabulation of a continuous named family, renormalized.
+
+    The grid runs to the 1 - 1e-12 quantile.  Densities that are
+    infinite at 0 get the value 0 there.
+    """
+    # the quantile functions are the package's only runtime use of scipy
+    from scipy.special import betaincinv, gammaincinv, ndtri, xlogy
+
     k, p = nd.kind, nd.params
+    q = 1 - 1e-12
     if k == "uniform01":
         xs = np.arange(0.0, 1.0 + h / 2, h)
         return GridDensity(h, np.ones_like(xs))
     if k == "exponential":
-        frozen = stats.expon()
+        xs = np.arange(0.0, -math.log1p(-q) + h, h)
+        vals = np.exp(-xs)
     elif k == "gamma":
-        frozen = stats.gamma(p[0])
+        a = p[0]
+        xs = np.arange(0.0, float(gammaincinv(a, q)) + h, h)
+        with np.errstate(divide="ignore"):
+            vals = np.exp(xlogy(a - 1.0, xs) - xs - math.lgamma(a))
     elif k == "lognormal":
-        frozen = stats.lognorm(s=math.sqrt(p[1]), scale=math.exp(p[0]))
+        mu, s = p[0], math.sqrt(p[1])
+        xs = np.arange(0.0, math.exp(mu + s * float(ndtri(q))) + h, h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (np.log(xs) - mu) / s
+            vals = np.where(xs > 0, np.exp(-0.5 * z * z) / (s * xs * math.sqrt(2 * math.pi)), 0.0)
     elif k == "beta":
-        frozen = stats.beta(p[0], p[1])
+        a, b = p
+        xs = np.arange(0.0, float(betaincinv(a, b, q)) + h, h)
+        lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.exp(xlogy(a - 1.0, xs) + xlogy(b - 1.0, 1.0 - xs) - lbeta)
+        vals = np.where(xs <= 1.0, vals, 0.0)
     else:
         raise ValueError(f"{k} is not a continuous family")
-    xmax = float(frozen.ppf(1 - 1e-12))
-    xs = np.arange(0.0, xmax + h, h)
-    vals = frozen.pdf(xs)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     total = trapezoid(vals, dx=h)
     return GridDensity(h, vals / total)
@@ -455,7 +515,7 @@ def borel_pmf(lam: float, N: int = 200, tail_tol=1e-9) -> DiscreteDist:
     if lam == 0.0:
         return DiscreteDist(np.array([1.0]), np.array([1.0]))
     ks = np.arange(1, N + 1)
-    logp = -lam * ks + (ks - 1) * np.log(lam * ks) - gammaln(ks + 1)
+    logp = -lam * ks + (ks - 1) * np.log(lam * ks) - _log_factorials(N)[1:]
     pmf = np.exp(logp)
     tail = 1.0 - pmf.sum()
     if tail > tail_tol:

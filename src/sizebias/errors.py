@@ -130,3 +130,7 @@ class NonzeroMean(SizeBiasError):
 
 class DomainError(SizeBiasError):
     """Evaluation point on the wrong side of the mean."""
+
+
+class BoundViolated(SizeBiasError):
+    """A computed value landed outside the bound proven to contain it."""

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .dist_core import DiscreteDist
+from .dist_core import DiscreteDist, trapezoid
 from .errors import DomainError, QuadratureFailure, TruncationTooSevere
 
 MIN_RATIO = 1.01           # c below this makes the theta series impractical

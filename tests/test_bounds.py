@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import poisson
 
 import sizebias as sb
-from sizebias.errors import DomainError
+from sizebias.errors import BoundViolated, DomainError
 
 RNG = np.random.default_rng(np.random.Philox(20240822))
 
@@ -154,3 +154,51 @@ def test_concentration_domain_errors():
         sb.ConcentrationParams(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         sb.ConcentrationParams(1.0, -1.0, 1.0)
+
+
+def test_poisson_lower_tail_deep_in_the_left_tail():
+    # exp(-800) underflows, so a product walk from the origin returns 0
+    got = sb.poisson_lower_tail(800.0, 700)
+    assert got == pytest.approx(float(poisson.cdf(700, 800.0)), rel=1e-10)
+    assert got == pytest.approx(1.6609e-4, rel=1e-4)
+
+
+def _iteration_loop(a, c, x):
+    """Reference: the stepped product G(x) <= (a/x) G(x - c) down to the mean."""
+    prod, xk = 1.0, x
+    while xk > a:
+        prod *= a / xk
+        xk -= c
+    return prod
+
+
+def test_tail_iteration_closed_form_matches_loop():
+    cases = [(4.0, 1.0, 8.0), (2.0, 1.0, 9.0), (1.0, 1.0, 5.0), (3.7, 1.0, 11.2),
+             (6.0, 1.0, 30.5), (2.5, 0.3, 7.1), (5.0, 0.7, 9.9), (1.5, 2.5, 12.0),
+             (0.8, 0.45, 3.3)]
+    for a, c, x in cases:
+        got = sb.tail_iteration(sb.ConcentrationParams(a, c, x))
+        assert got == pytest.approx(_iteration_loop(a, c, x), rel=1e-12), (a, c, x)
+
+
+def test_tiny_coupling_bound_underflows_to_zero():
+    # (x - a)/c = 1e9 steps: the loop would not return and (a/x)^(x/c) e^((x-a)/c) overflows
+    cp = sb.ConcentrationParams(1.0, 1e-9, 2.0)
+    assert sb.concentration_upper(cp) == (0.0, 0.0)
+    assert sb.tail_iteration(cp) == 0.0
+    tight, gauss = sb.concentration_lower(sb.ConcentrationParams(2.0, 1e-9, 1.0))
+    assert tight == gauss == 0.0
+    with pytest.raises(ValueError):
+        sb.ConcentrationParams(1.0, float("nan"), 2.0)
+
+
+def test_bound_violations_raise_without_assert(monkeypatch):
+    import sizebias.bounds as B
+    monkeypatch.setattr(B, "_bd0", lambda x, a: -1.0)
+    with pytest.raises(BoundViolated):
+        sb.concentration_upper(sb.ConcentrationParams(4.0, 1.0, 8.0))
+    with pytest.raises(BoundViolated):
+        sb.concentration_lower(sb.ConcentrationParams(4.0, 1.0, 2.0))
+    monkeypatch.setattr(B, "binom_pmf", lambda n, p: np.eye(1, n + 1, n)[0])
+    with pytest.raises(BoundViolated):
+        sb.binomial_poisson_check(10, 0.1)

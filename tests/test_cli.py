@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,3 +320,54 @@ def test_bad_seed_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["stein", "--n", "2", "--p", "0.5", "--seed", "-1"])
     assert exc.value.code == 2
+
+
+def test_serialization_errors_exit_2(capsys, tmp_path, monkeypatch):
+    code, out, err = run_cli(capsys, "stein", "--n", "5", "--p", "0.2",
+                             "--out", str(tmp_path / "no-such-dir" / "res.json"))
+    assert code == 2 and out == "" and err.startswith("error:")
+    import sizebias.cli as C
+    monkeypatch.setattr(C, "binomial_poisson_check", lambda n, p: (math.nan, 0.0))
+    code, out, err = run_cli(capsys, "stein", "--n", "5", "--p", "0.2")
+    assert code == 2 and out == "" and "non-finite" in err
+
+
+# -------------------------------------------------------------------
+# fresh processes: the import path and inputs that once hung or crashed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(*args, timeout=60):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("module", ["sizebias", "sizebias.cli"])
+def test_import_loads_no_scipy(module):
+    p = _fresh_python("-c", f"import sys, {module}; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[]"
+
+
+def test_former_crash_and_hang_argv_exit_cleanly():
+    bad_input = (["transform", "--dist", "poisson:nan"],
+                 ["renewal", "--interarrival", "exponential", "--n", "1"])
+    for argv in bad_input:
+        p = _fresh_python("-m", "sizebias.cli", *argv)
+        assert p.returncode == 2, argv
+        assert p.stdout == "" and p.stderr.startswith("error:")
+        assert "Traceback" not in p.stderr
+    # exp(-1000) underflows; the Poisson cut must still be found
+    p = _fresh_python("-m", "sizebias.cli", "stein", "--n", "2000", "--p", "0.5", timeout=30)
+    assert p.returncode == 0, p.stderr
+    doc = json.loads(p.stdout)
+    assert 0.0 < doc["exact_tv"] <= doc["bound"] == 0.5
+    # 1e9 coupling steps: closed forms, no loop and no overflow
+    p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", "1", "--c", "1e-9",
+                      "--x", "2", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == {"side": "upper", "tight": 0, "gaussian": 0, "iteration": 0}

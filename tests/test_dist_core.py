@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sizebias as sb
+from sizebias.dist_core import binom_pmf, poisson_pmf, poisson_reach, trapezoid
 from sizebias.errors import (
     AtomAtZero, NegativeMomentAtZero, NoClosedForm, NonpositiveScale,
     NoSuccesses, ZeroMean,
@@ -284,3 +285,95 @@ def test_json_round_trip_grid():
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         sb.dist_from_json({"something": 1})
+
+
+# -------------------------------------------------------------------
+# closed-form numerics against scipy, which the package no longer imports
+
+def test_trapezoid_is_scipys_arithmetic():
+    from scipy.integrate import trapezoid as sp_trapezoid
+    rng = np.random.Generator(np.random.Philox(5))
+    for n in (2, 3, 17, 1000, 100_001):
+        y = rng.standard_normal(n)
+        x = np.cumsum(rng.uniform(0.0, 1.0, n))
+        z = y + 1j * rng.standard_normal(n)
+        assert trapezoid(y, dx=1e-3) == sp_trapezoid(y, dx=1e-3)
+        assert trapezoid(y, x) == sp_trapezoid(y, x)
+        assert trapezoid(z, dx=0.37) == sp_trapezoid(z, dx=0.37)
+        assert trapezoid(z, x) == sp_trapezoid(z, x)
+    assert trapezoid(np.arange(5)) == sp_trapezoid(np.arange(5))
+
+
+def test_binom_pmf_matches_scipy():
+    from scipy.stats import binom
+    ps = (1e-3, 0.01, 0.1, 0.3, 0.5, 0.77, 0.99, 0.999)
+    for n in range(1, 101):
+        for p in ps:
+            want = binom.pmf(np.arange(n + 1), n, p)
+            assert np.allclose(binom_pmf(n, p), want, rtol=0, atol=1e-13), (n, p)
+    for n in (150, 500, 1000, 2000):
+        for p in ps:
+            got, want = binom_pmf(n, p), binom.pmf(np.arange(n + 1), n, p)
+            big = want > 1e-300
+            assert np.allclose(got[big], want[big], rtol=1e-11, atol=0), (n, p)
+    assert binom_pmf(4, 1.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_poisson_pmf_matches_scipy():
+    from scipy.stats import poisson
+    for lam in (1e-3, 0.1, 0.5, 1.0, 3.0, 7.5, 20.0, 64.0, 100.0):
+        ks = np.arange(poisson_reach(lam) + 1)
+        assert np.allclose(poisson_pmf(lam, ks[-1]), poisson.pmf(ks, lam), rtol=0, atol=1e-13)
+    for lam in (150.0, 333.3, 500.0, 699.5, 700.0):
+        ks = np.arange(poisson_reach(lam) + 1)
+        got, want = poisson_pmf(lam, ks[-1]), poisson.pmf(ks, lam)
+        big = want > 1e-300
+        assert np.allclose(got[big], want[big], rtol=1e-11, atol=0), lam
+
+
+def test_poisson_tabulation_cut_matches_scipy_quantile():
+    from scipy.stats import poisson
+    for lam in np.concatenate([np.linspace(0.01, 5.0, 60), np.linspace(5.0, 1500.0, 60)]):
+        d = sb.tabulate_named(sb.NamedDist("poisson", (float(lam),)))
+        assert d.xs[-1] == int(poisson.ppf(1 - 1e-12 / 4, lam)) + 10, lam
+
+
+def test_named_density_matches_scipy_pdfs():
+    from scipy import stats
+    from scipy.integrate import trapezoid as sp_trapezoid
+    cases = [
+        (("exponential", ()), stats.expon()),
+        (("gamma", (2.5,)), stats.gamma(2.5)),
+        (("gamma", (0.5,)), stats.gamma(0.5)),
+        (("lognormal", (0.3, 0.4)), stats.lognorm(s=math.sqrt(0.4), scale=math.exp(0.3))),
+        (("beta", (2.0, 1.0)), stats.beta(2.0, 1.0)),
+        (("beta", (0.7, 1.6)), stats.beta(0.7, 1.6)),
+    ]
+    h = 1e-3
+    for (kind, params), frozen in cases:
+        g = sb.named_density(sb.NamedDist(kind, params), h=h)
+        xs = np.arange(0.0, float(frozen.ppf(1 - 1e-12)) + h, h)
+        want = frozen.pdf(xs)
+        want = np.where(np.isfinite(want), want, 0.0)
+        want = want / sp_trapezoid(want, dx=h)
+        assert g.values.size == xs.size, kind
+        assert np.allclose(g.values, want, rtol=1e-12, atol=1e-12), kind
+
+
+def test_non_finite_inputs_rejected():
+    with pytest.raises(ValueError):
+        sb.DiscreteDist(np.array([0.0, np.nan]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        sb.DiscreteDist(np.array([0.0, np.inf]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        sb.DiscreteDist(np.array([0.0, 1.0]), np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError):
+        sb.GridDensity(float("nan"), np.ones(3))
+    with pytest.raises(ValueError):
+        sb.GridDensity(float("inf"), np.ones(3))
+    with pytest.raises(ValueError):
+        sb.GridDensity(0.5, np.array([1.0, np.nan, 1.0]))
+    for kind, params in (("poisson", (np.nan,)), ("dirac", (np.inf,)),
+                         ("binomial", (np.inf, 0.5)), ("lognormal", (0.0, np.inf))):
+        with pytest.raises(ValueError):
+            sb.NamedDist(kind, params)
