@@ -47,9 +47,8 @@ class ConcentrationParams:
 
 def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
     """Half the summed absolute mass difference over the union support."""
-    xs = np.concatenate([p.xs, q.xs])
-    xs, _ = merge_atoms(xs, np.zeros_like(xs))
-    return 0.5 * float(sum(abs(p.prob_at(x) - q.prob_at(x)) for x in xs))
+    _, diff = merge_atoms(np.concatenate([p.xs, q.xs]), np.concatenate([p.ps, -q.ps]))
+    return 0.5 * float(np.abs(diff).sum())
 
 
 def stein_poisson_bound(lam: float, gap) -> float:
@@ -179,15 +178,14 @@ def tail_iteration(cp: ConcentrationParams) -> float:
 # exact Poisson tails for calibration against the bounds
 
 def poisson_upper_tail(a: float, x: int) -> float:
-    """P(X >= x) for Poisson(a), summed until terms are negligible."""
-    term = math.exp(-a + x * math.log(a) - math.lgamma(x + 1))
-    total = term
-    k = x
-    while term >= TAIL_TERM_CUT * total:
-        k += 1
-        term *= a / k
-        total += term
-    return total
+    """P(X >= x) for Poisson(a), summing log-space terms that cannot underflow early.
+
+    Past k = max(x, reach) each term is at most a/reach times the one
+    before, so reach - a more terms leave a remainder below e^-60 of
+    the sum.
+    """
+    reach = poisson_reach(a)
+    return float(poisson_pmf(a, max(x, reach) + reach - int(a))[x:].sum())
 
 
 def poisson_lower_tail(a: float, x: int) -> float:

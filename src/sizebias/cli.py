@@ -315,20 +315,17 @@ def _cmd_renewal(args) -> dict:
     if args.n < 2:
         raise SizeBiasError("renewal needs --n >= 2 for a standard error")
     dist = parse_dist(args.interarrival)
-    sizes = [args.n // args.workers + (1 if w < args.n % args.workers else 0)
-             for w in range(args.workers)]
+    # stream w draws n // workers samples, one more for w < n % workers;
+    # streams past n draw none, so only the first min(workers, n) run
+    base, extra = divmod(args.n, args.workers)
+    streams = min(args.workers, args.n)
 
     def run(w):
-        if sizes[w] == 0:
-            return []
-        return simulate_renewal_inspection(dist, args.horizon, sizes[w],
+        return simulate_renewal_inspection(dist, args.horizon, base + (w < extra),
                                            derive_rng(args.seed, "renewal", w))
 
-    if args.workers == 1:
-        chunks = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            chunks = list(pool.map(run, range(args.workers)))
+    with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
+        chunks = list(pool.map(run, range(streams)))
     lengths = np.array([s.covering_length for ch in chunks for s in ch])
     waits = np.array([s.residual_wait for ch in chunks for s in ch])
     return {"n": int(lengths.size), "workers": args.workers,

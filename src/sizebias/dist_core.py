@@ -20,6 +20,7 @@ from .errors import (
     NoClosedForm,
     NonpositiveScale,
     NoSuccesses,
+    SupportOverflow,
     TailTooHeavy,
     ZeroMean,
 )
@@ -28,6 +29,7 @@ ATOM_MERGE_TOL = 1e-12     # support points closer than this are one atom
 PROB_SUM_TOL = 1e-12       # |sum(p) - 1| allowed
 ATOM_EQ_TOL = 1e-9         # default atom-wise distribution equality
 FD_STEP = 1e-5             # central difference step for the char fn derivative
+GRID_POINT_CAP = 10_000_000  # named_density grids past this many points are refused
 
 
 # ===================================================================
@@ -72,19 +74,30 @@ def poisson_pmf(lam: float, hi: int) -> np.ndarray:
 # ===================================================================
 
 def merge_atoms(xs, ps, tol=ATOM_MERGE_TOL):
-    """Sort support points and sum masses of points closer than tol."""
+    """Sort support points and sum masses of points closer than tol.
+
+    An atom sits at the first point of its cluster and takes every later
+    point within tol of that first point; masses add in sorted order.
+    """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     order = np.argsort(xs, kind="stable")
     xs, ps = xs[order], ps[order]
-    out_x, out_p = [], []
-    for x, p in zip(xs, ps):
-        if out_x and x - out_x[-1] <= tol:
-            out_p[-1] += p
-        else:
-            out_x.append(x)
-            out_p.append(p)
-    return np.array(out_x), np.array(out_p)
+    # inf - inf is NaN here; callers refuse non-finite supports afterwards
+    with np.errstate(invalid="ignore"):
+        # a gap over tol opens an atom ("not <=", so a NaN gap does too)
+        new = ~(np.diff(xs, prepend=-np.inf) <= tol)
+        # a chain of smaller gaps can still run more than tol past its
+        # first point; only those late points are walked, in order
+        first = np.maximum.accumulate(np.where(new, np.arange(xs.size), 0))
+        late = np.flatnonzero(xs - xs[first] > tol)
+    opened = -1
+    for i in late:
+        if xs[i] - xs[max(first[i], opened)] > tol:
+            new[i] = True
+            opened = i
+    # bincount adds in input order, as a running total does
+    return xs[new], np.bincount(np.cumsum(new) - 1, weights=ps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,33 +364,39 @@ def named_density(nd: NamedDist, h=1e-3) -> GridDensity:
     """Grid tabulation of a continuous named family, renormalized.
 
     The grid runs to the 1 - 1e-12 quantile.  Densities that are
-    infinite at 0 get the value 0 there.
+    infinite at 0 get the value 0 there.  Raises SupportOverflow when
+    that takes more than GRID_POINT_CAP points.
     """
     # the quantile functions are the package's only runtime use of scipy
     from scipy.special import betaincinv, gammaincinv, ndtri, xlogy
 
+    def grid(stop):
+        if not stop / h <= GRID_POINT_CAP:
+            raise SupportOverflow(f"grid to {stop:.4g} at step {h} exceeds {GRID_POINT_CAP} points")
+        return np.arange(0.0, stop, h)
+
     k, p = nd.kind, nd.params
     q = 1 - 1e-12
     if k == "uniform01":
-        xs = np.arange(0.0, 1.0 + h / 2, h)
+        xs = grid(1.0 + h / 2)
         return GridDensity(h, np.ones_like(xs))
     if k == "exponential":
-        xs = np.arange(0.0, -math.log1p(-q) + h, h)
+        xs = grid(-math.log1p(-q) + h)
         vals = np.exp(-xs)
     elif k == "gamma":
         a = p[0]
-        xs = np.arange(0.0, float(gammaincinv(a, q)) + h, h)
+        xs = grid(float(gammaincinv(a, q)) + h)
         with np.errstate(divide="ignore"):
             vals = np.exp(xlogy(a - 1.0, xs) - xs - math.lgamma(a))
     elif k == "lognormal":
         mu, s = p[0], math.sqrt(p[1])
-        xs = np.arange(0.0, math.exp(mu + s * float(ndtri(q))) + h, h)
+        xs = grid(math.exp(mu + s * float(ndtri(q))) + h)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (np.log(xs) - mu) / s
             vals = np.where(xs > 0, np.exp(-0.5 * z * z) / (s * xs * math.sqrt(2 * math.pi)), 0.0)
     elif k == "beta":
         a, b = p
-        xs = np.arange(0.0, float(betaincinv(a, b, q)) + h, h)
+        xs = grid(float(betaincinv(a, b, q)) + h)
         lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.exp(xlogy(a - 1.0, xs) + xlogy(b - 1.0, 1.0 - xs) - lbeta)
@@ -533,10 +552,9 @@ def atoms_close(d1: DiscreteDist, d2: DiscreteDist, atol=ATOM_EQ_TOL) -> bool:
 
 
 def max_atom_gap(d1: DiscreteDist, d2: DiscreteDist) -> float:
-    xs = np.concatenate([d1.xs, d2.xs])
-    xs, _ = merge_atoms(xs, np.zeros_like(xs))
-    gaps = [abs(d1.prob_at(x) - d2.prob_at(x)) for x in xs]
-    return float(max(gaps))
+    """Largest mass difference at one atom of the merged union support."""
+    _, diff = merge_atoms(np.concatenate([d1.xs, d2.xs]), np.concatenate([d1.ps, -d2.ps]))
+    return float(np.abs(diff).max())
 
 
 def dist_to_json(d) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import DiscreteDist, NamedDist, named_mean, size_bias_discrete
-from .errors import ConstantInput, HorizonTooShort, NonzeroMean
+from .errors import ConstantInput, DomainError, HorizonTooShort, NonzeroMean, ZeroMean
 
 _CHUNK = 20_000
 
@@ -28,10 +28,14 @@ def _interarrival_mean(dist) -> float:
     if isinstance(dist, DiscreteDist):
         if dist.xs[0] <= 0:
             raise ValueError("interarrival support must be strictly positive")
-        return dist.mean()
-    if isinstance(dist, NamedDist):
-        return named_mean(dist)
-    raise TypeError(f"cannot sample interarrivals from {type(dist).__name__}")
+        mean = dist.mean()
+    elif isinstance(dist, NamedDist):
+        mean = named_mean(dist)
+    else:
+        raise TypeError(f"cannot sample interarrivals from {type(dist).__name__}")
+    if not (math.isfinite(mean) and mean > 0):
+        raise ZeroMean(f"interarrival mean must be positive and finite, got {mean}")
+    return mean
 
 
 def _draw_gaps(dist, rng, size):
@@ -118,6 +122,8 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng):
     typical interarrival, which is the paradox.
     """
     mean = _interarrival_mean(interarrival)
+    if not math.isfinite(horizon):
+        raise DomainError(f"horizon must be finite, got {horizon}")
     if horizon < 50.0 * mean:
         raise HorizonTooShort(f"horizon {horizon} below 50 interarrival means")
     out = []
@@ -146,8 +152,8 @@ def stationary_renewal_arrivals(interarrival, window_t: float, n: int, rng) -> n
     rest are ordinary.  Counts then average window_t over the mean gap,
     with no startup transient.
     """
-    if window_t <= 0:
-        raise ValueError(f"window must be positive, got {window_t}")
+    if not (math.isfinite(window_t) and window_t > 0):
+        raise DomainError(f"window must be positive and finite, got {window_t}")
     counts = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _CHUNK):
         rows = min(_CHUNK, n - lo)

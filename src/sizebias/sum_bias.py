@@ -57,16 +57,19 @@ def index_distribution(s: IndependentSum) -> IndexDist:
     return IndexDist(means / means.sum())
 
 
+def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc, cap=CONV_ATOM_CAP) -> DiscreteDist:
+    """Exact law of ufunc(X1, X2) for independent atom lists: an outer product, merged."""
+    n = d1.xs.size * d2.xs.size
+    if n > cap:
+        raise SupportOverflow(f"outer {ufunc.__name__} would touch {n} atoms, cap {cap}")
+    xs, ps = merge_atoms(ufunc.outer(d1.xs, d2.xs).ravel(),
+                         np.multiply.outer(d1.ps, d2.ps).ravel())
+    return DiscreteDist(xs, ps / ps.sum(), signed=d1.signed or d2.signed)
+
+
 def convolve(d1: DiscreteDist, d2: DiscreteDist, cap=CONV_ATOM_CAP) -> DiscreteDist:
     """Exact pmf of the independent sum of two atom lists."""
-    if d1.xs.size * d2.xs.size > cap:
-        raise SupportOverflow(f"convolution would touch {d1.xs.size * d2.xs.size} atoms")
-    xs = np.add.outer(d1.xs, d2.xs).ravel()
-    ps = np.multiply.outer(d1.ps, d2.ps).ravel()
-    xs, ps = merge_atoms(xs, ps)
-    if xs.size > cap:
-        raise SupportOverflow(f"convolution support has {xs.size} atoms, cap {cap}")
-    return DiscreteDist(xs, ps / ps.sum(), signed=d1.signed or d2.signed)
+    return _combine(d1, d2, np.add, cap)
 
 
 def convolve_all(terms) -> DiscreteDist:
@@ -84,16 +87,9 @@ def size_biased_sum_pmf(s: IndependentSum) -> DiscreteDist:
     direct transform of the full convolution; tests hold it to that
     oracle atom by atom.
     """
-    idx = index_distribution(s)
-    pieces_x, pieces_p = [], []
-    for i, w in enumerate(idx.probs):
-        replaced = list(s.terms)
-        replaced[i] = size_bias_discrete(s.terms[i])
-        d = convolve_all(replaced)
-        pieces_x.append(d.xs)
-        pieces_p.append(w * d.ps)
-    xs, ps = merge_atoms(np.concatenate(pieces_x), np.concatenate(pieces_p))
-    return DiscreteDist(xs, ps / ps.sum())
+    pieces = [convolve_all(s.terms[:i] + (size_bias_discrete(t),) + s.terms[i + 1:])
+              for i, t in enumerate(s.terms)]
+    return mix(pieces, index_distribution(s).probs)
 
 
 def sample_size_biased_sum(s: IndependentSum, rng, n: int) -> np.ndarray:
@@ -130,25 +126,14 @@ def size_biased_product_pmf(terms) -> DiscreteDist:
         if t.mean() <= 0:
             raise ZeroMeanTerm(f"factor {i} has mean {t.mean()}")
         star.append(size_bias_discrete(t))
-    out = star[0]
-    for t in star[1:]:
-        xs = np.multiply.outer(out.xs, t.xs).ravel()
-        ps = np.multiply.outer(out.ps, t.ps).ravel()
-        if xs.size > CONV_ATOM_CAP:
-            raise SupportOverflow(f"product support has {xs.size} atoms")
-        xs, ps = merge_atoms(xs, ps)
-        out = DiscreteDist(xs, ps / ps.sum())
-    return out
+    return product_pmf(star)
 
 
 def product_pmf(terms) -> DiscreteDist:
     """Plain law of the product, the oracle side of the product rule."""
     out = terms[0]
     for t in terms[1:]:
-        xs = np.multiply.outer(out.xs, t.xs).ravel()
-        ps = np.multiply.outer(out.ps, t.ps).ravel()
-        xs, ps = merge_atoms(xs, ps)
-        out = DiscreteDist(xs, ps / ps.sum())
+        out = _combine(out, t, np.multiply)
     return out
 
 
@@ -166,17 +151,11 @@ def size_bias_mixture(components, weights):
         raise ZeroMeanComponent(f"component mean {means.min()} is not positive")
     new_w = weights * means
     new_w = new_w / new_w.sum()
-    pieces_x, pieces_p = [], []
-    for w, c in zip(new_w, components):
-        star = size_bias_discrete(c)
-        pieces_x.append(star.xs)
-        pieces_p.append(w * star.ps)
-    xs, ps = merge_atoms(np.concatenate(pieces_x), np.concatenate(pieces_p))
-    return DiscreteDist(xs, ps / ps.sum()), new_w
+    return mix([size_bias_discrete(c) for c in components], new_w), new_w
 
 
 def mix(components, weights) -> DiscreteDist:
-    """Plain mixture pmf, oracle side of the mixture rule."""
+    """Mixture pmf: the weighted atom lists merged, then renormalized."""
     weights = np.asarray(weights, dtype=float)
     pieces_x = np.concatenate([c.xs for c in components])
     pieces_p = np.concatenate([w * c.ps for w, c in zip(weights, components)])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,18 @@ RNG = np.random.default_rng(np.random.Philox(20240822))
 
 # -------------------------------------------------------------------
 # total variation and the Poisson bound
+
+def test_comparisons_match_prob_at_reference():
+    # supports overlap on 2 and 3 (the 3 is off by half a merge tolerance)
+    p = sb.DiscreteDist(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3, 0.4]))
+    q = sb.DiscreteDist(np.array([2.0, 3.0 + 5e-13, 4.5]), np.array([0.5, 0.25, 0.25]))
+    union, _ = sb.dist_core.merge_atoms(np.concatenate([p.xs, q.xs]), np.zeros(7))
+    gaps = [abs(p.prob_at(x) - q.prob_at(x)) for x in union]
+    assert union.size == 5
+    assert sb.tv_distance(p, q) == pytest.approx(0.5 * sum(gaps), abs=1e-15)
+    assert sb.max_atom_gap(p, q) == max(gaps)
+    assert sb.max_atom_gap(p, q) == sb.max_atom_gap(q, p)
+
 
 def test_tv_distance_fixture():
     p = sb.DiscreteDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -97,6 +113,18 @@ def test_poisson_tails_match_scipy():
                 float(poisson.sf(x - 1, a)), rel=1e-12)
             assert sb.poisson_lower_tail(a, x) == pytest.approx(
                 float(poisson.cdf(x, a)), rel=1e-12)
+
+
+def test_poisson_upper_tail_returns_where_the_first_term_underflows():
+    # the first term exp(-a) a^x / x! underflows for both pairs
+    code = "import sizebias as sb; print(sb.poisson_upper_tail(800.0, 10), sb.poisson_upper_tail(1.0, 200))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert p.returncode == 0, p.stderr
+    near_one, far_tail = map(float, p.stdout.split())
+    assert near_one == pytest.approx(float(poisson.sf(9, 800.0)), rel=1e-12)
+    assert far_tail == float(poisson.sf(199, 1.0)) == 0.0
 
 
 # -------------------------------------------------------------------

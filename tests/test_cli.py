@@ -243,6 +243,38 @@ def test_renewal_deterministic_and_worker_invariant(capsys):
     assert out_w2 == out_w2b
 
 
+def test_renewal_pool_capped_at_streams_and_cpus(capsys, monkeypatch):
+    import sizebias.cli as cli
+    seen = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["renewal", "--interarrival", "exponential", "--n", "4"]
+    huge = run_json(capsys, *argv, "--workers", "100000000000")
+    four = run_json(capsys, *argv, "--workers", "4")
+    one = run_json(capsys, *argv, "--workers", "1")
+    assert seen == [2, 2, 1]
+    assert huge["workers"] == 100000000000 and four["workers"] == 4
+    # streams past n draw nothing, so both runs use streams 0..3 alike
+    assert {**huge, "workers": 4} == four
+    assert one["n"] == 4
+
+
+def test_default_stdout_matches_golden(capsys):
+    # atoms-only inputs: the outputs involve no exp or log, so the bytes are portable
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+    assert len(golden) >= 8
+    for case in golden:
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert code == 0, err
+        assert out == case["stdout"], case["argv"]
+
+
 def test_derived_streams_are_distinct():
     a = derive_rng(5, "midzuno").random(4)
     b = derive_rng(5, "renewal").random(4)
@@ -355,7 +387,9 @@ def test_import_loads_no_scipy(module):
 
 def test_former_crash_and_hang_argv_exit_cleanly():
     bad_input = (["transform", "--dist", "poisson:nan"],
-                 ["renewal", "--interarrival", "exponential", "--n", "1"])
+                 ["renewal", "--interarrival", "exponential", "--n", "1"],
+                 ["renewal", "--interarrival", "dirac:0", "--n", "10"],
+                 ["renewal", "--interarrival", "exponential", "--horizon", "inf", "--n", "10"])
     for argv in bad_input:
         p = _fresh_python("-m", "sizebias.cli", *argv)
         assert p.returncode == 2, argv

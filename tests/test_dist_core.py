@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sizebias as sb
-from sizebias.dist_core import binom_pmf, poisson_pmf, poisson_reach, trapezoid
+from sizebias.dist_core import binom_pmf, merge_atoms, poisson_pmf, poisson_reach, trapezoid
 from sizebias.errors import (
     AtomAtZero, NegativeMomentAtZero, NoClosedForm, NonpositiveScale,
-    NoSuccesses, ZeroMean,
+    NoSuccesses, SupportOverflow, ZeroMean,
 )
 
 RNG = np.random.Generator(np.random.Philox(20240817))
@@ -44,6 +44,44 @@ def test_merge_atoms_dedupes():
     xs, ps = sb.dist_core.merge_atoms([1.0, 1.0 + 1e-13, 2.0], [0.3, 0.3, 0.4])
     assert xs.size == 2
     assert np.isclose(ps[0], 0.6)
+
+
+def _merge_atoms_loop(xs, ps, tol=1e-12):
+    """The per-atom loop merge_atoms replaced, kept as its reference."""
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    order = np.argsort(xs, kind="stable")
+    xs, ps = xs[order], ps[order]
+    out_x, out_p = [], []
+    for x, p in zip(xs, ps):
+        if out_x and x - out_x[-1] <= tol:
+            out_p[-1] += p
+        else:
+            out_x.append(x)
+            out_p.append(p)
+    return np.array(out_x), np.array(out_p)
+
+
+def test_merge_atoms_chain_splits_at_cluster_start():
+    # every gap is under tol, but 1.2e-12 lies more than tol past 0
+    xs, ps = merge_atoms([0.0, 0.6e-12, 1.2e-12, 1.8e-12], [0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(xs, [0.0, 1.2e-12])
+    assert np.array_equal(ps, [0.1 + 0.2, 0.3 + 0.4])
+
+
+def test_merge_atoms_matches_loop_reference():
+    rng = np.random.Generator(np.random.Philox(77))
+    for _ in range(20):
+        n = int(rng.integers(1, 3000))
+        ps = rng.random(n) * np.where(rng.random(n) < 0.2, -1.0, 1.0)
+        lattice = rng.integers(0, max(1, n // 4), n).astype(float)
+        distinct = rng.uniform(-5.0, 5.0, n)
+        gaps = rng.choice([0.0, 0.3e-12, 0.7e-12, 1e-12, 2e-12, 1.0], n)
+        chained = np.cumsum(gaps)[rng.permutation(n)]
+        for xs in (lattice, distinct, chained):
+            got, want = merge_atoms(xs, ps), _merge_atoms_loop(xs, ps)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert all(a.size == 0 for a in merge_atoms([], []))
 
 
 def test_from_pmf_keeps_zeros():
@@ -358,6 +396,14 @@ def test_named_density_matches_scipy_pdfs():
         want = want / sp_trapezoid(want, dx=h)
         assert g.values.size == xs.size, kind
         assert np.allclose(g.values, want, rtol=1e-12, atol=1e-12), kind
+
+
+def test_named_density_refuses_huge_grids():
+    # the 1 - 1e-12 quantile of this lognormal is ~1.9e15, i.e. ~1.9e18 points at h = 1e-3
+    with pytest.raises(SupportOverflow):
+        sb.named_density(sb.NamedDist("lognormal", (0.0, 25.0)))
+    with pytest.raises(SupportOverflow):
+        sb.named_density(sb.NamedDist("uniform01", ()), h=1e-8)
 
 
 def test_non_finite_inputs_rejected():

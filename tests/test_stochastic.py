@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import sizebias as sb
-from sizebias.errors import ConstantInput, HorizonTooShort, NonzeroMean
+from sizebias.errors import ConstantInput, DomainError, HorizonTooShort, NonzeroMean, ZeroMean
 
 RNG = np.random.default_rng(np.random.Philox(20240821))
 
@@ -162,3 +162,11 @@ def test_window_validation():
             sb.DiscreteDist(np.array([0.0, 2.0]), np.array([0.5, 0.5])), 500.0, 5, RNG)
     with pytest.raises(TypeError):
         sb.simulate_renewal_inspection("exp", 500.0, 5, RNG)
+    expo = sb.NamedDist("exponential", ())
+    with pytest.raises(ZeroMean):
+        sb.simulate_renewal_inspection(sb.NamedDist("dirac", (0.0,)), 500.0, 5, RNG)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            sb.simulate_renewal_inspection(expo, bad, 5, RNG)
+        with pytest.raises(DomainError):
+            sb.stationary_renewal_arrivals(expo, bad, 5, RNG)

@@ -117,6 +117,21 @@ def test_product_rule_random(seed, nterms):
     assert sb.max_atom_gap(lhs, rhs) <= 1e-10
 
 
+def test_product_cap_checked_before_allocating():
+    import tracemalloc
+    d1 = sb.DiscreteDist(np.arange(1.0, 1002.0), np.full(1001, 1 / 1001))
+    d2 = sb.DiscreteDist(np.arange(1.0, 1001.0), np.full(1000, 1 / 1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportOverflow):
+            sb.product_pmf((d1, d2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 1.001e6-atom outer product alone would take 8 MB
+    assert peak < 1_000_000
+
+
 def test_product_rejects_zero_atom():
     d = sb.DiscreteDist.from_pairs([(0.0, 0.5), (1.0, 0.5)])
     with pytest.raises(ZeroInSupport):
