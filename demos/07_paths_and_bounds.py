@@ -16,8 +16,7 @@ rng = np.random.default_rng(np.random.Philox(99))
 
 print("=== inspection paradox ===")
 out = sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 60.0, 30_000, rng)
-lengths = np.array([s.covering_length for s in out])
-print(f"  interarrival mean 1, covering-interval mean {lengths.mean():.4f} (expect 2)")
+print(f"  interarrival mean 1, covering-interval mean {out.covering_length.mean():.4f} (expect 2)")
 
 counts = sb.stationary_renewal_arrivals(sb.NamedDist("dirac", (1.0,)), 10.5, 20_000, rng)
 print(f"  stationary start, unit gaps, window 10.5: mean count {counts.mean():.4f}")

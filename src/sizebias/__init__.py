@@ -85,7 +85,6 @@ from .midzuno import (
     exact_expectation,
 )
 from .stochastic import (
-    InspectionSample,
     simulate_renewal_inspection,
     sample_stationary_phase,
     stationary_renewal_arrivals,

@@ -326,8 +326,8 @@ def _cmd_renewal(args) -> dict:
 
     with ThreadPoolExecutor(max_workers=min(streams, os.cpu_count() or 1)) as pool:
         chunks = list(pool.map(run, range(streams)))
-    lengths = np.array([s.covering_length for ch in chunks for s in ch])
-    waits = np.array([s.residual_wait for ch in chunks for s in ch])
+    lengths = np.concatenate([ch.covering_length for ch in chunks])
+    waits = np.concatenate([ch.residual_wait for ch in chunks])
     return {"n": int(lengths.size), "workers": args.workers,
             "mean_covering": float(lengths.mean()),
             "se_covering": float(lengths.std(ddof=1) / math.sqrt(lengths.size)),

@@ -218,8 +218,8 @@ class NamedDist:
 
     kinds and params: poisson(rate), bernoulli(p), binomial(n, p),
     geometric(p) on {0,1,...}, gamma(shape), exponential(), lognormal(mu,
-    sigma2), uniform01(), borel(rate), dirac(c).  beta(a, b) only appears
-    as a transform output (the 2x density on (0,1) is beta(2,1)).
+    sigma2), uniform01(), borel(rate), dirac(c), beta(a, b).  beta is also
+    the transform of uniform01 (the 2x density on (0,1) is beta(2,1)).
     """
 
     kind: str
@@ -268,7 +268,10 @@ def named_mean(nd: NamedDist) -> float:
     if k == "exponential":
         return 1.0
     if k == "lognormal":
-        return math.exp(p[0] + p[1] / 2)
+        try:
+            return math.exp(p[0] + p[1] / 2)
+        except OverflowError:
+            return math.inf
     if k == "uniform01":
         return 0.5
     if k == "borel":

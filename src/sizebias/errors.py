@@ -126,6 +126,10 @@ class NonzeroMean(SizeBiasError):
     pass
 
 
+class NoSampler(SizeBiasError):
+    """No random draw is implemented for this family."""
+
+
 # bounds
 
 class DomainError(SizeBiasError):

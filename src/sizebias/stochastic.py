@@ -14,15 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DiscreteDist, NamedDist, named_mean, size_bias_discrete
-from .errors import ConstantInput, DomainError, HorizonTooShort, NonzeroMean, ZeroMean
+from .dist_core import (DiscreteDist, NamedDist, closed_form_size_bias, merge_atoms, named_mean,
+                        size_bias_discrete)
+from .errors import (ConstantInput, DomainError, HorizonTooShort, NonzeroMean, NoSampler,
+                     SupportOverflow, ZeroMean)
 
 _CHUNK = 20_000
+ARRIVAL_CELL_CAP = 100_000_000  # arrival buffers past this many cells are refused
 
 
 # ===================================================================
 # interarrival sampling helpers
 # ===================================================================
+
+# family -> draw(rng, size, *params): the families a renewal stream can
+# run on; where one has a closed-form transform, that lands here again
+_SAMPLERS = {
+    "exponential": lambda rng, size: rng.exponential(size=size),
+    "gamma": lambda rng, size, a: rng.gamma(a, size=size),
+    "dirac": lambda rng, size, c: np.full(size, c),
+    "uniform01": lambda rng, size: rng.random(size=size),
+    "lognormal": lambda rng, size, mu, s2: rng.lognormal(mu, math.sqrt(s2), size=size),
+    "beta": lambda rng, size, a, b: rng.beta(a, b, size=size),
+}
+
 
 def _interarrival_mean(dist) -> float:
     if isinstance(dist, DiscreteDist):
@@ -30,6 +45,8 @@ def _interarrival_mean(dist) -> float:
             raise ValueError("interarrival support must be strictly positive")
         mean = dist.mean()
     elif isinstance(dist, NamedDist):
+        if dist.kind not in _SAMPLERS:
+            raise NoSampler(f"no interarrival sampler for family {dist.kind}")
         mean = named_mean(dist)
     else:
         raise TypeError(f"cannot sample interarrivals from {type(dist).__name__}")
@@ -38,56 +55,32 @@ def _interarrival_mean(dist) -> float:
     return mean
 
 
-def _draw_gaps(dist, rng, size):
+def _draw(dist, rng, size):
     if isinstance(dist, DiscreteDist):
         return dist.sample(rng, int(np.prod(size))).reshape(size)
-    k, p = dist.kind, dist.params
-    if k == "exponential":
-        return rng.exponential(size=size)
-    if k == "gamma":
-        return rng.gamma(p[0], size=size)
-    if k == "dirac":
-        return np.full(size, p[0])
-    if k == "uniform01":
-        return rng.random(size=size)
-    if k == "lognormal":
-        return rng.lognormal(p[0], math.sqrt(p[1]), size=size)
-    raise TypeError(f"no interarrival sampler for family {k}")
-
-
-def _draw_size_biased(dist, rng, n):
-    """One draw each from the transform of an interarrival law."""
-    if isinstance(dist, DiscreteDist):
-        return size_bias_discrete(dist).sample(rng, n)
-    k, p = dist.kind, dist.params
-    if k == "exponential":
-        return rng.gamma(2.0, size=n)
-    if k == "gamma":
-        return rng.gamma(p[0] + 1.0, size=n)
-    if k == "dirac":
-        return np.full(n, p[0])
-    if k == "uniform01":
-        return np.sqrt(rng.random(size=n))
-    if k == "lognormal":
-        return rng.lognormal(p[0] + p[1], math.sqrt(p[1]), size=n)
-    raise TypeError(f"no size-biased sampler for family {k}")
+    return _SAMPLERS[dist.kind](rng, size, *dist.params)
 
 
 def _cum_arrivals(dist, rng, n, span, lead=None):
     """Cumulative arrival times per row, guaranteed to pass span.
 
     ``lead`` optionally supplies the first arrival per row; later gaps
-    are ordinary interarrivals.
+    are ordinary interarrivals.  Raises SupportOverflow, before drawing,
+    when the first buffer would pass ARRIVAL_CELL_CAP cells.
     """
     mean = _interarrival_mean(dist)
-    k0 = int(span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8)
-    gaps = _draw_gaps(dist, rng, (n, k0))
+    k0 = span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8
+    if not n * k0 <= ARRIVAL_CELL_CAP:
+        raise SupportOverflow(f"{n} streams to {span:.4g} need about {n * k0:.3g} arrival "
+                              f"cells, over {ARRIVAL_CELL_CAP}")
+    k0 = int(k0)
+    gaps = _draw(dist, rng, (n, k0))
     if lead is not None:
         gaps[:, 0] = lead
     cum = np.cumsum(gaps, axis=1)
     while cum[:, -1].min() <= span:
         short = cum[:, -1] <= span
-        extra = _draw_gaps(dist, rng, (int(short.sum()), k0))
+        extra = _draw(dist, rng, (int(short.sum()), k0))
         add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
         cum = np.hstack([cum, np.full((n, k0), np.inf)])
         cum[short, -k0:] = add
@@ -98,19 +91,7 @@ def _cum_arrivals(dist, rng, n, span, lead=None):
 # inspection paradox
 # ===================================================================
 
-@dataclass(frozen=True)
-class InspectionSample:
-    """One inspection: the covering interval and the wait it implies."""
-
-    covering_length: float
-    residual_wait: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.residual_wait <= self.covering_length + 1e-12:
-            raise ValueError(f"wait {self.residual_wait} exceeds interval {self.covering_length}")
-
-
-def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng):
+def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np.recarray:
     """Inspect n independent renewal streams at uniform times.
 
     Each draw builds arrivals out to ``horizon``, picks T uniform on
@@ -120,13 +101,17 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng):
     are not yet length-biased); the right margin sidesteps the cut
     interval at the edge.  The lengths are size-biased relative to a
     typical interarrival, which is the paradox.
+
+    Returns a record array with float columns ``covering_length`` and
+    ``residual_wait``, one row per inspection.
     """
     mean = _interarrival_mean(interarrival)
     if not math.isfinite(horizon):
         raise DomainError(f"horizon must be finite, got {horizon}")
     if horizon < 50.0 * mean:
         raise HorizonTooShort(f"horizon {horizon} below 50 interarrival means")
-    out = []
+    lengths = np.empty(n)
+    waits = np.empty(n)
     for lo in range(0, n, _CHUNK):
         rows = min(_CHUNK, n - lo)
         cum = _cum_arrivals(interarrival, rng, rows, horizon)
@@ -134,14 +119,22 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng):
         j = (cum <= t[:, None]).sum(axis=1)
         nxt = cum[np.arange(rows), j]
         prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
-        for L, w in zip(nxt - prev, nxt - t):
-            out.append(InspectionSample(float(L), float(w)))
-    return out
+        lengths[lo : lo + rows] = nxt - prev
+        waits[lo : lo + rows] = nxt - t
+    bad = np.flatnonzero(~((waits >= 0.0) & (waits <= lengths + 1e-12)))
+    if bad.size:
+        raise ValueError(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
+    return np.rec.fromarrays([lengths, waits], names="covering_length,residual_wait")
 
 
 def sample_stationary_phase(interarrival, n: int, rng) -> np.ndarray:
     """First-arrival times U * X* that make the renewal stream stationary."""
-    star = _draw_size_biased(interarrival, rng, n)
+    _interarrival_mean(interarrival)    # refuses laws no stream can run on
+    if isinstance(interarrival, DiscreteDist):
+        star = _draw(size_bias_discrete(interarrival), rng, n)
+    else:
+        cf = closed_form_size_bias(interarrival)
+        star = cf.shift + _draw(cf.base, rng, n)
     return rng.random(n) * star
 
 
@@ -214,19 +207,14 @@ def skorohod_coupling(x: DiscreteDist) -> SkorohodCoupling:
     b = DiscreteDist(x.xs[pos], x.ps[pos] / p_plus)
     a_star = size_bias_discrete(a)
     b_star = size_bias_discrete(b)
-    atoms = {}
+    # supp(A*) = supp(A) and supp(B*) = supp(B), so both branches land on
+    # the grid supp(A) x supp(B), listed in sorted (u, v) order
+    u, v = np.meshgrid(a.xs, b.xs, indexing="ij")
+    p = np.outer(p_plus * a_star.ps, b.ps) + np.outer(p_minus * a.ps, b_star.ps)
+    atoms = np.column_stack([u.ravel(), v.ravel(), p.ravel()]).tolist()
     if p_zero > 0:
-        atoms[(0.0, 0.0)] = p_zero
-    for ua, pa in zip(a_star.xs, a_star.ps):
-        for vb, pb in zip(b.xs, b.ps):
-            key = (float(ua), float(vb))
-            atoms[key] = atoms.get(key, 0.0) + p_plus * float(pa) * float(pb)
-    for ua, pa in zip(a.xs, a.ps):
-        for vb, pb in zip(b_star.xs, b_star.ps):
-            key = (float(ua), float(vb))
-            atoms[key] = atoms.get(key, 0.0) + p_minus * float(pa) * float(pb)
-    return SkorohodCoupling(p_plus, p_zero, p_minus,
-                            tuple((u, v, p) for (u, v), p in sorted(atoms.items())))
+        atoms.insert(0, (0.0, 0.0, p_zero))
+    return SkorohodCoupling(p_plus, p_zero, p_minus, atoms)
 
 
 def skorohod_exit_pmf(sc: SkorohodCoupling) -> DiscreteDist:
@@ -235,15 +223,11 @@ def skorohod_exit_pmf(sc: SkorohodCoupling) -> DiscreteDist:
     Equals the embedded law atom for atom; the identity is checked by
     tests rather than enforced here.
     """
-    acc = {}
-    for u, v, p in sc.uv_atoms:
-        if u == 0.0 and v == 0.0:
-            acc[0.0] = acc.get(0.0, 0.0) + p
-            continue
-        acc[-u] = acc.get(-u, 0.0) + p * v / (u + v)
-        acc[v] = acc.get(v, 0.0) + p * u / (u + v)
-    xs = np.array(sorted(acc))
-    ps = np.array([acc[x] for x in sorted(acc)])
+    u, v, p = np.array(sc.uv_atoms).T
+    go = (u != 0.0) | (v != 0.0)    # a (0, 0) atom stays put: mass p at 0
+    u, v, p, p0 = u[go], v[go], p[go], p[~go]
+    xs, ps = merge_atoms(np.concatenate([-u, v, np.zeros(p0.size)]),
+                         np.concatenate([p * v / (u + v), p * u / (u + v), p0]))
     return DiscreteDist(xs, ps / ps.sum(), signed=True)
 
 

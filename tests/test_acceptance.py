@@ -193,7 +193,7 @@ def test_criterion_12_concentration_ordering():
 def test_criterion_13_renewal_covering():
     rng = np.random.default_rng(np.random.Philox(113))
     out = sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 60.0, 100_000, rng)
-    lengths = np.array([s.covering_length for s in out])
+    lengths = out.covering_length
     se = lengths.std(ddof=1) / math.sqrt(lengths.size)
     gap = abs(lengths.mean() - 2.0)
     _report(13, "inspection covering length", gap < 4 * se,

@@ -389,7 +389,12 @@ def test_former_crash_and_hang_argv_exit_cleanly():
     bad_input = (["transform", "--dist", "poisson:nan"],
                  ["renewal", "--interarrival", "exponential", "--n", "1"],
                  ["renewal", "--interarrival", "dirac:0", "--n", "10"],
-                 ["renewal", "--interarrival", "exponential", "--horizon", "inf", "--n", "10"])
+                 ["renewal", "--interarrival", "exponential", "--horizon", "inf", "--n", "10"],
+                 *(["renewal", "--interarrival", fam, "--n", "10"]
+                   for fam in ("poisson:2", "bernoulli:0.5", "binomial:10,0.3", "geometric:0.5",
+                               "borel:0.5", "lognormal:0,2000")),
+                 ["transform", "--dist", "lognormal:0,2000"],
+                 ["renewal", "--interarrival", "uniform01", "--n", "10", "--horizon", "1e12"])
     for argv in bad_input:
         p = _fresh_python("-m", "sizebias.cli", *argv)
         assert p.returncode == 2, argv

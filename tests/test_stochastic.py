@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 import sizebias as sb
-from sizebias.errors import ConstantInput, DomainError, HorizonTooShort, NonzeroMean, ZeroMean
+import sizebias.stochastic as T
+from sizebias.errors import (ConstantInput, DomainError, HorizonTooShort, NoClosedForm, NonzeroMean,
+                             NoSampler, SupportOverflow, ZeroMean)
 
 RNG = np.random.default_rng(np.random.Philox(20240821))
 
@@ -82,11 +84,15 @@ def test_coupling_validation():
 # -------------------------------------------------------------------
 # inspection paradox
 
-def test_inspection_sample_validation():
-    with pytest.raises(ValueError):
-        sb.InspectionSample(1.0, 1.5)
-    with pytest.raises(ValueError):
-        sb.InspectionSample(1.0, -0.1)
+def test_inspection_invariant_is_checked(monkeypatch):
+    # unsorted arrivals give a negative wait, then a wait past a negative
+    # interval; sorted ones never break 0 <= wait <= length
+    for row in ((0.95, 0.05, 2.0), (0.97, 0.96, 0.01, 2.0)):
+        monkeypatch.setattr(T, "_cum_arrivals", lambda dist, rng, n, span, row=row:
+                            np.tile(np.array(row) * span, (n, 1)))
+        with pytest.raises(ValueError, match="exceeds interval"):
+            sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 100.0, 5,
+                                           np.random.default_rng(0))
 
 
 def test_horizon_guard():
@@ -96,8 +102,7 @@ def test_horizon_guard():
 
 def test_deterministic_stream_inspection():
     out = sb.simulate_renewal_inspection(sb.NamedDist("dirac", (1.0,)), 60.0, 4000, RNG)
-    lengths = np.array([s.covering_length for s in out])
-    waits = np.array([s.residual_wait for s in out])
+    lengths, waits = out.covering_length, out.residual_wait
     assert np.allclose(lengths, 1.0)
     assert np.all((waits >= 0) & (waits <= 1))
     # inspection time is uniform within the covering interval
@@ -107,8 +112,7 @@ def test_deterministic_stream_inspection():
 def test_discrete_interarrival_covering():
     # gaps 1 or 3 equally likely: mean 2, length-biased mean 5/2
     gap = sb.DiscreteDist(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
-    out = sb.simulate_renewal_inspection(gap, 150.0, 20_000, RNG)
-    lengths = np.array([s.covering_length for s in out])
+    lengths = sb.simulate_renewal_inspection(gap, 150.0, 20_000, RNG).covering_length
     se = lengths.std() / math.sqrt(lengths.size)
     assert abs(lengths.mean() - 2.5) < 5 * se
     assert set(np.unique(lengths)) <= {1.0, 3.0}
@@ -116,8 +120,7 @@ def test_discrete_interarrival_covering():
 
 def test_exponential_covering_doubles_the_mean():
     out = sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 60.0, 20_000, RNG)
-    lengths = np.array([s.covering_length for s in out])
-    waits = np.array([s.residual_wait for s in out])
+    lengths, waits = out.covering_length, out.residual_wait
     se = lengths.std() / math.sqrt(lengths.size)
     assert abs(lengths.mean() - 2.0) < 5 * se
     assert np.all(waits <= lengths + 1e-12)
@@ -170,3 +173,183 @@ def test_window_validation():
             sb.simulate_renewal_inspection(expo, bad, 5, RNG)
         with pytest.raises(DomainError):
             sb.stationary_renewal_arrivals(expo, bad, 5, RNG)
+
+
+def test_beta_covering_mean():
+    # Beta(a, b) gaps: the covering length has mean (a+1)/(a+b+1) = 3/4
+    out = sb.simulate_renewal_inspection(sb.NamedDist("beta", (2.0, 1.0)), 40.0, 20_000,
+                                         np.random.default_rng(np.random.Philox(31)))
+    lengths = out.covering_length
+    se = lengths.std() / math.sqrt(lengths.size)
+    assert abs(lengths.mean() - 0.75) < 5 * se
+
+
+def test_families_without_sampler_rejected_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for kind, params in (("poisson", (2.0,)), ("bernoulli", (0.5,)), ("binomial", (10.0, 0.3)),
+                         ("geometric", (0.5,)), ("borel", (0.5,))):
+        d = sb.NamedDist(kind, params)
+        with pytest.raises(NoSampler):
+            sb.simulate_renewal_inspection(d, 500.0, 5, rng)
+        with pytest.raises(NoSampler):
+            sb.stationary_renewal_arrivals(d, 5.0, 5, rng)
+    # beta streams run, but the stationary phase needs a closed-form transform
+    with pytest.raises(NoClosedForm):
+        sb.stationary_renewal_arrivals(sb.NamedDist("beta", (2.0, 1.0)), 5.0, 5, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_arrival_buffer_capped_before_allocating():
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    expo = sb.NamedDist("exponential", ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportOverflow):
+            sb.simulate_renewal_inspection(sb.NamedDist("uniform01", ()), 1e12, 10, rng)
+        # 70,300 rows of ~1424 arrivals: just past the cap
+        with pytest.raises(SupportOverflow):
+            T._cum_arrivals(expo, rng, 70_300, 1000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the smaller of the two buffers alone would take 800 MB
+    assert peak < 1_000_000
+
+
+# -------------------------------------------------------------------
+# references: the per-sample loop, the per-family samplers and the dict
+# coupling that the array code replaced, kept to be matched bit for bit
+
+def _ref_draw_gaps(dist, rng, size):
+    if isinstance(dist, sb.DiscreteDist):
+        return dist.sample(rng, int(np.prod(size))).reshape(size)
+    k, p = dist.kind, dist.params
+    if k == "exponential":
+        return rng.exponential(size=size)
+    if k == "gamma":
+        return rng.gamma(p[0], size=size)
+    if k == "dirac":
+        return np.full(size, p[0])
+    if k == "uniform01":
+        return rng.random(size=size)
+    if k == "lognormal":
+        return rng.lognormal(p[0], math.sqrt(p[1]), size=size)
+    raise TypeError(f"no interarrival sampler for family {k}")
+
+
+def _ref_draw_size_biased(dist, rng, n):
+    if isinstance(dist, sb.DiscreteDist):
+        return sb.size_bias_discrete(dist).sample(rng, n)
+    k, p = dist.kind, dist.params
+    if k == "exponential":
+        return rng.gamma(2.0, size=n)
+    if k == "gamma":
+        return rng.gamma(p[0] + 1.0, size=n)
+    if k == "dirac":
+        return np.full(n, p[0])
+    if k == "lognormal":
+        return rng.lognormal(p[0] + p[1], math.sqrt(p[1]), size=n)
+    raise TypeError(f"no size-biased sampler for family {k}")
+
+
+def _ref_inspection(dist, horizon, n, rng):
+    mean = dist.mean() if isinstance(dist, sb.DiscreteDist) else sb.named_mean(dist)
+    k0 = int(horizon / mean * 1.1 + 10.0 * math.sqrt(horizon / mean + 1.0) + 8)
+    lengths, waits = [], []
+    for lo in range(0, n, T._CHUNK):
+        rows = min(T._CHUNK, n - lo)
+        cum = np.cumsum(_ref_draw_gaps(dist, rng, (rows, k0)), axis=1)
+        while cum[:, -1].min() <= horizon:
+            short = cum[:, -1] <= horizon
+            extra = _ref_draw_gaps(dist, rng, (int(short.sum()), k0))
+            add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
+            cum = np.hstack([cum, np.full((rows, k0), np.inf)])
+            cum[short, -k0:] = add
+        t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
+        j = (cum <= t[:, None]).sum(axis=1)
+        nxt = cum[np.arange(rows), j]
+        prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
+        for L, w in zip(nxt - prev, nxt - t):
+            if not 0.0 <= w <= L + 1e-12:
+                raise ValueError(f"wait {w} exceeds interval {L}")
+            lengths.append(float(L))
+            waits.append(float(w))
+    return np.array(lengths), np.array(waits)
+
+
+def _ref_coupling_atoms(x):
+    neg, pos = x.xs < 0, x.xs > 0
+    p_minus, p_zero, p_plus = (float(x.ps[m].sum()) for m in (neg, ~neg & ~pos, pos))
+    a = sb.DiscreteDist(-x.xs[neg][::-1], x.ps[neg][::-1] / p_minus)
+    b = sb.DiscreteDist(x.xs[pos], x.ps[pos] / p_plus)
+    a_star, b_star = sb.size_bias_discrete(a), sb.size_bias_discrete(b)
+    atoms = {}
+    if p_zero > 0:
+        atoms[(0.0, 0.0)] = p_zero
+    for ua, pa in zip(a_star.xs, a_star.ps):
+        for vb, pb in zip(b.xs, b.ps):
+            key = (float(ua), float(vb))
+            atoms[key] = atoms.get(key, 0.0) + p_plus * float(pa) * float(pb)
+    for ua, pa in zip(a.xs, a.ps):
+        for vb, pb in zip(b_star.xs, b_star.ps):
+            key = (float(ua), float(vb))
+            atoms[key] = atoms.get(key, 0.0) + p_minus * float(pa) * float(pb)
+    return tuple((u, v, p) for (u, v), p in sorted(atoms.items()))
+
+
+def _ref_exit_law(uv_atoms):
+    acc = {}
+    for u, v, p in uv_atoms:
+        if u == 0.0 and v == 0.0:
+            acc[0.0] = acc.get(0.0, 0.0) + p
+            continue
+        acc[-u] = acc.get(-u, 0.0) + p * v / (u + v)
+        acc[v] = acc.get(v, 0.0) + p * u / (u + v)
+    xs = np.array(sorted(acc))
+    ps = np.array([acc[x] for x in sorted(acc)])
+    return xs, ps / ps.sum()
+
+
+INTERARRIVALS = [
+    (sb.NamedDist("exponential", ()), 60.0),
+    (sb.NamedDist("gamma", (2.5,)), 130.0),
+    (sb.NamedDist("lognormal", (0.0, 0.25)), 60.0),
+    (sb.NamedDist("dirac", (1.5,)), 80.0),
+    (sb.NamedDist("uniform01", ()), 30.0),
+    (sb.DiscreteDist(np.array([1.0, 3.0]), np.array([0.5, 0.5])), 110.0),
+]
+
+
+@pytest.mark.parametrize("dist,horizon", INTERARRIVALS,
+                         ids=["exponential", "gamma", "lognormal", "dirac", "uniform01", "atoms"])
+def test_inspection_columns_match_per_sample_reference(dist, horizon):
+    n = 45_000      # past two chunk boundaries
+    out = sb.simulate_renewal_inspection(dist, horizon, n, np.random.default_rng(n))
+    lengths, waits = _ref_inspection(dist, horizon, n, np.random.default_rng(n))
+    assert out.shape == (n,)
+    assert np.array_equal(out.covering_length, lengths)
+    assert np.array_equal(out.residual_wait, waits)
+
+
+def test_stationary_phase_matches_per_family_reference():
+    # uniform01 is left out: its transform is drawn by the beta sampler now
+    for i, (dist, _) in enumerate(INTERARRIVALS):
+        if getattr(dist, "kind", None) == "uniform01":
+            continue
+        g1, g2 = np.random.default_rng(i), np.random.default_rng(i)
+        want = _ref_draw_size_biased(dist, g2, 5000)
+        assert np.array_equal(sb.sample_stationary_phase(dist, 5000, g1), g2.random(5000) * want)
+
+
+def test_coupling_and_exit_law_match_dict_reference():
+    rng = np.random.default_rng(np.random.Philox(17))
+    for i in range(120):
+        x = random_mean_zero(rng, with_zero=(i % 2 == 0))
+        sc = sb.skorohod_coupling(x)
+        assert sc.uv_atoms == _ref_coupling_atoms(x)
+        exit_law = sb.skorohod_exit_pmf(sc)
+        xs, ps = _ref_exit_law(sc.uv_atoms)
+        assert np.array_equal(exit_law.xs, xs)
+        assert np.array_equal(exit_law.ps, ps)
