@@ -16,7 +16,7 @@ die = sb.DiscreteDist(np.arange(1.0, 7.0), np.full(6, 1 / 6))
 print("=== sums ===")
 s = sb.IndependentSum((coin, die))
 idx = sb.index_distribution(s)
-print("  which term gets tilted:", np.round(idx.probs, 4))
+print("  which term gets tilted:", np.round(idx, 4))
 via_terms = sb.size_biased_sum_pmf(s)
 direct = sb.size_bias_discrete(sb.convolve(coin, die))
 print("  term-replacement vs direct transform, max gap:",

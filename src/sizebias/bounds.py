@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DiscreteDist, binom_pmf, merge_atoms, poisson_pmf, poisson_reach
+from .dist_core import (DiscreteDist, binom_pmf, check_points, merge_atoms, poisson_pmf,
+                        poisson_reach)
 from .errors import BoundViolated, DomainError
 
 TAIL_TERM_CUT = 1e-18      # stop tail sums once terms fall below this x partial
@@ -24,7 +25,6 @@ class CouplingGap:
     """E|X* - (X+1)| under some declared coupling of X with X*."""
 
     gap: float
-    coupling_tag: str = ""
     se: float | None = None
 
     def __post_init__(self):
@@ -59,7 +59,7 @@ def stein_poisson_bound(lam: float, gap) -> float:
     return (1.0 - math.exp(-lam)) * g
 
 
-def estimate_coupling_gap(draw_pair, n: int, rng, tag="monte carlo") -> CouplingGap:
+def estimate_coupling_gap(draw_pair, n: int, rng) -> CouplingGap:
     """Monte Carlo gap for a user-supplied coupling sampler.
 
     ``draw_pair(rng, n)`` must return paired arrays (x_star, x).  The
@@ -67,7 +67,7 @@ def estimate_coupling_gap(draw_pair, n: int, rng, tag="monte carlo") -> Coupling
     """
     x_star, x = draw_pair(rng, n)
     gaps = np.abs(np.asarray(x_star, dtype=float) - (np.asarray(x, dtype=float) + 1.0))
-    return CouplingGap(float(gaps.mean()), tag, se=float(gaps.std(ddof=1) / math.sqrt(n)))
+    return CouplingGap(float(gaps.mean()), se=float(gaps.std(ddof=1) / math.sqrt(n)))
 
 
 def binomial_poisson_check(n: int, p: float):
@@ -84,7 +84,9 @@ def binomial_poisson_check(n: int, p: float):
     bound = stein_poisson_bound(lam, p)
     # cut the Poisson terms at the first k >= n where a term is dust next
     # to the running total
-    poi = poisson_pmf(lam, max(n, poisson_reach(lam)))
+    hi = max(n, poisson_reach(lam))
+    check_points(hi + 1, f"binomial n = {n} against its Poisson")
+    poi = poisson_pmf(lam, hi)
     dust = poi[n:] < TAIL_TERM_CUT * np.cumsum(poi)[n:]
     poi = poi[: n + int(np.argmax(dust)) + 1]
     bi = np.zeros(poi.size)
@@ -106,6 +108,8 @@ def _bd0(x, a):
     leads with (x - a) v (Loader 2000, "Fast and accurate computation
     of binomial probabilities").
     """
+    if x + a == math.inf:       # bd0 is homogeneous of degree 1
+        return 2.0 * _bd0(0.5 * x, 0.5 * a)
     if abs(x - a) >= 0.1 * (x + a):
         return x * math.log(x / a) + a - x
     v = (x - a) / (x + a)
@@ -126,6 +130,19 @@ def _tight(a, c, x):
     return math.exp(-_bd0(x, a) / c)
 
 
+def _gaussian(d, c, m):
+    """exp(-d^2 / (c * 2m)) for d >= 0 and m > 0.
+
+    m is half the bound's sum, which may itself overflow.  Where d^2 or
+    the denominator leaves the normal double range, the exponent is
+    taken in the factored form (d / c) * (d / 2m).
+    """
+    den = c * (m + m)
+    if d < 1e154 and 0.0 < den < math.inf:
+        return math.exp(-(d ** 2) / den)
+    return math.exp(-(d / c) * (0.5 * d / m))
+
+
 def _check_order(tight, gauss):
     if tight > gauss + 1e-15:
         raise BoundViolated(f"tight bound {tight} exceeds the gaussian bound {gauss}")
@@ -140,7 +157,7 @@ def concentration_upper(cp: ConcentrationParams):
     if cp.x < cp.a:
         raise DomainError(f"upper tail needs x >= a, got x={cp.x} a={cp.a}")
     tight = _tight(cp.a, cp.c, cp.x)
-    gauss = math.exp(-((cp.x - cp.a) ** 2) / (cp.c * (cp.a + cp.x)))
+    gauss = _gaussian(cp.x - cp.a, cp.c, 0.5 * cp.a + 0.5 * cp.x)
     _check_order(tight, gauss)
     return tight, gauss
 
@@ -150,7 +167,7 @@ def concentration_lower(cp: ConcentrationParams):
     if cp.x > cp.a:
         raise DomainError(f"lower tail needs x <= a, got x={cp.x} a={cp.a}")
     tight = _tight(cp.a, cp.c, cp.x)
-    gauss = math.exp(-((cp.a - cp.x) ** 2) / (2.0 * cp.c * cp.a))
+    gauss = _gaussian(cp.a - cp.x, cp.c, cp.a)
     _check_order(tight, gauss)
     return tight, gauss
 

@@ -38,7 +38,7 @@ from .dist_core import (
 from .sum_bias import IndependentSum, index_distribution, size_biased_sum_pmf, size_biased_product_pmf
 from .inf_div import (
     compound_poisson_from_increment, pmf_recursion, extract_increment,
-    dickman_solve, buchstab_solve, levy_from_json,
+    dickman_solve, buchstab_solve, levy_from_json, levy_to_json,
 )
 from .lognormal import (
     orbit_pmf, orbit_as_dist, orbit_size_bias_check, berg_pmf,
@@ -220,9 +220,8 @@ def _cmd_transform(args) -> dict:
 def _cmd_sum(args) -> dict:
     terms = [_as_discrete(parse_dist(t)) for t in args.dist]
     s = IndependentSum(tuple(terms))
-    idx = index_distribution(s)
     return {"terms": len(terms),
-            "index_probs": [float(p) for p in idx.probs],
+            "index_probs": index_distribution(s),
             "size_biased_sum": dist_to_json(size_biased_sum_pmf(s))}
 
 
@@ -241,10 +240,7 @@ def _cmd_compound_poisson(args) -> dict:
             raise SizeBiasError("need either --levy or both --a and --increment")
         levy = compound_poisson_from_increment(_as_discrete(parse_dist(args.increment)), args.a)
     pmf = pmf_recursion(levy, args.n)
-    return {"a": levy.a, "alpha0": levy.alpha0,
-            "jumps": [[y, r] for y, r in levy.jumps],
-            "pmf": [float(p) for p in pmf.ps],
-            "tail_bound": pmf.tail_bound}
+    return {**levy_to_json(levy), "pmf": pmf.ps, "tail_bound": pmf.tail_bound}
 
 
 def _cmd_id_test(args) -> dict:
@@ -254,23 +250,19 @@ def _cmd_id_test(args) -> dict:
         return {"is_id": False, "witness_index": int(res.witness_index)}
     return {"is_id": True, "a": res.a,
             "increment": dist_to_json(res.increment),
-            "jump_rates": [[k, r] for k, r in res.jump_rates()]}
+            "jump_rates": res.jump_rates()}
+
+
+def _grid_json(g: GridDensity) -> dict:
+    return {**dist_to_json(g), "mass": g.atom0 + g.integral(), "mean": g.mean()}
 
 
 def _cmd_dickman(args) -> dict:
-    g = dickman_solve(args.a, h=args.h, xmax=args.xmax)
-    out = dist_to_json(g)
-    out["mass"] = g.integral()
-    out["mean"] = g.mean()
-    return out
+    return _grid_json(dickman_solve(args.a, h=args.h, xmax=args.xmax))
 
 
 def _cmd_buchstab(args) -> dict:
-    g = buchstab_solve(args.a, args.b, h=args.h, xmax=args.xmax)
-    out = dist_to_json(g)
-    out["mass"] = g.atom0 + g.integral()
-    out["mean"] = g.mean()
-    return out
+    return _grid_json(buchstab_solve(args.a, args.b, h=args.h, xmax=args.xmax))
 
 
 def _cmd_orbit(args) -> dict:
@@ -294,7 +286,7 @@ def _cmd_berg(args) -> dict:
     return {"sign": args.sign, "c": args.c,
             "moments": [moment(d, k) for k in range(4)],
             "size_bias_check": orbit_size_bias_check(d, c=args.c),
-            "atoms": [[float(x), float(p)] for x, p in zip(d.xs, d.ps)]}
+            "atoms": dist_to_json(d)["atoms"]}
 
 
 def _cmd_mixture_check(args) -> dict:
@@ -340,8 +332,8 @@ def _cmd_skorohod(args) -> dict:
     sc = skorohod_coupling(d)
     exit_law = skorohod_exit_pmf(sc)
     return {"p_plus": sc.p_plus, "p_zero": sc.p_zero, "p_minus": sc.p_minus,
-            "uv_atoms": [[u, v, p] for u, v, p in sc.uv_atoms],
-            "exit_atoms": [[float(x), float(p)] for x, p in zip(exit_law.xs, exit_law.ps)],
+            "uv_atoms": sc.uv_atoms,
+            "exit_atoms": dist_to_json(exit_law)["atoms"],
             "expected_exit_time": expected_exit_time(sc)}
 
 

@@ -29,7 +29,8 @@ ATOM_MERGE_TOL = 1e-12     # support points closer than this are one atom
 PROB_SUM_TOL = 1e-12       # |sum(p) - 1| allowed
 ATOM_EQ_TOL = 1e-9         # default atom-wise distribution equality
 FD_STEP = 1e-5             # central difference step for the char fn derivative
-GRID_POINT_CAP = 10_000_000  # named_density grids past this many points are refused
+GRID_POINT_CAP = 10_000_000  # tabulations and grids past this many points are refused
+TAIL_CUT = 1e-12           # tabulate_named cuts infinite supports below this tail mass
 
 
 # ===================================================================
@@ -64,6 +65,12 @@ def poisson_reach(lam: float) -> int:
     return int(lam + 20 * math.sqrt(lam)) + 60
 
 
+def check_points(n, what: str) -> None:
+    """Refuse, before allocating, a tabulation of more than GRID_POINT_CAP points."""
+    if not n <= GRID_POINT_CAP:
+        raise SupportOverflow(f"{what} needs {n:.4g} points, over {GRID_POINT_CAP}")
+
+
 def poisson_pmf(lam: float, hi: int) -> np.ndarray:
     """Poisson(lam) masses on 0..hi, computed in log space so no term underflows early."""
     return np.exp(np.arange(hi + 1) * math.log(lam) - lam - _log_factorials(hi))
@@ -73,11 +80,11 @@ def poisson_pmf(lam: float, hi: int) -> np.ndarray:
 # containers
 # ===================================================================
 
-def merge_atoms(xs, ps, tol=ATOM_MERGE_TOL):
-    """Sort support points and sum masses of points closer than tol.
+def merge_atoms(xs, ps):
+    """Sort support points and sum masses of points closer than ATOM_MERGE_TOL.
 
     An atom sits at the first point of its cluster and takes every later
-    point within tol of that first point; masses add in sorted order.
+    point within the tolerance of that first point; masses add in sorted order.
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -85,15 +92,15 @@ def merge_atoms(xs, ps, tol=ATOM_MERGE_TOL):
     xs, ps = xs[order], ps[order]
     # inf - inf is NaN here; callers refuse non-finite supports afterwards
     with np.errstate(invalid="ignore"):
-        # a gap over tol opens an atom ("not <=", so a NaN gap does too)
-        new = ~(np.diff(xs, prepend=-np.inf) <= tol)
-        # a chain of smaller gaps can still run more than tol past its
+        # a wider gap opens an atom ("not <=", so a NaN gap does too)
+        new = ~(np.diff(xs, prepend=-np.inf) <= ATOM_MERGE_TOL)
+        # a chain of smaller gaps can still run past the tolerance from its
         # first point; only those late points are walked, in order
         first = np.maximum.accumulate(np.where(new, np.arange(xs.size), 0))
-        late = np.flatnonzero(xs - xs[first] > tol)
+        late = np.flatnonzero(xs - xs[first] > ATOM_MERGE_TOL)
     opened = -1
     for i in late:
-        if xs[i] - xs[max(first[i], opened)] > tol:
+        if xs[i] - xs[max(first[i], opened)] > ATOM_MERGE_TOL:
             new[i] = True
             opened = i
     # bincount adds in input order, as a running total does
@@ -148,8 +155,8 @@ class DiscreteDist:
     def mean(self) -> float:
         return float(self.xs @ self.ps)
 
-    def prob_at(self, x, tol=ATOM_MERGE_TOL) -> float:
-        hits = np.abs(self.xs - x) <= tol
+    def prob_at(self, x) -> float:
+        hits = np.abs(self.xs - x) <= ATOM_MERGE_TOL
         return float(self.ps[hits].sum())
 
     def survival(self, t) -> float:
@@ -320,14 +327,17 @@ def closed_form_size_bias(nd: NamedDist) -> ShiftedNamed:
         if p[0] <= 0:
             raise ZeroMean("point mass at 0 cannot be size biased")
         return ShiftedNamed(0.0, nd)
+    if k == "beta":
+        return ShiftedNamed(0.0, NamedDist("beta", (p[0] + 1, p[1])))
     raise NoClosedForm(f"no closed-form transform for {k}")
 
 
-def tabulate_named(nd: NamedDist, tail_tol=1e-12) -> DiscreteDist:
+def tabulate_named(nd: NamedDist) -> DiscreteDist:
     """Finite atom list for a discrete named family.
 
-    Infinite supports are cut once the remaining tail is below tail_tol,
-    then renormalized; the cut is recorded in ``tail_bound``.
+    Infinite supports are cut once the remaining tail is below TAIL_CUT,
+    then renormalized; the cut is recorded in ``tail_bound``.  Raises
+    SupportOverflow when that takes more than GRID_POINT_CAP atoms.
     """
     k, p = nd.kind, nd.params
     if k == "dirac":
@@ -338,14 +348,17 @@ def tabulate_named(nd: NamedDist, tail_tol=1e-12) -> DiscreteDist:
         return DiscreteDist(np.array([0.0, 1.0]), np.array([1 - p[0], p[0]]))
     if k == "binomial":
         n = int(p[0])
+        check_points(n + 1, f"binomial n = {n}")
         return DiscreteDist(np.arange(n + 1.0), binom_pmf(n, p[1]))
     if k == "poisson":
         lam = p[0]
-        pmf = poisson_pmf(lam, poisson_reach(lam))
-        # cut 10 past the 1 - tail_tol/4 quantile; P(X <= k) is taken as one
+        reach = poisson_reach(lam)
+        check_points(reach + 1, f"poisson rate {lam:g}")
+        pmf = poisson_pmf(lam, reach)
+        # cut 10 past the 1 - TAIL_CUT/4 quantile; P(X <= k) is taken as one
         # minus the right tail, which sums without cancellation
         upper = np.cumsum(pmf[::-1])[::-1]
-        hi = int(np.argmax(1.0 - upper[1:] >= 1 - tail_tol / 4)) + 10
+        hi = int(np.argmax(1.0 - upper[1:] >= 1 - TAIL_CUT / 4)) + 10
         pmf = pmf[: hi + 1]
         tail = 1.0 - pmf.sum()
         return DiscreteDist(np.arange(hi + 1.0), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
@@ -353,13 +366,16 @@ def tabulate_named(nd: NamedDist, tail_tol=1e-12) -> DiscreteDist:
         q = 1 - p[0]
         if q == 0.0:
             return DiscreteDist(np.array([0.0]), np.array([1.0]))
-        hi = int(math.log(tail_tol) / math.log(q)) + 10
+        # q rounds to 1 for p below half an ulp: no finite cut
+        span = math.log(TAIL_CUT) / math.log(q) if q < 1.0 else math.inf
+        check_points(span + 11, f"geometric p = {p[0]:g}")
+        hi = int(span) + 10
         ks = np.arange(hi + 1)
         pmf = p[0] * q ** ks
         tail = 1.0 - pmf.sum()
         return DiscreteDist(ks.astype(float), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
     if k == "borel":
-        return borel_pmf(p[0], tail_tol=max(tail_tol, 1e-13))
+        return borel_pmf(p[0], tail_tol=TAIL_CUT)
     raise ValueError(f"{k} is not a discrete family")
 
 
@@ -374,8 +390,7 @@ def named_density(nd: NamedDist, h=1e-3) -> GridDensity:
     from scipy.special import betaincinv, gammaincinv, ndtri, xlogy
 
     def grid(stop):
-        if not stop / h <= GRID_POINT_CAP:
-            raise SupportOverflow(f"grid to {stop:.4g} at step {h} exceeds {GRID_POINT_CAP} points")
+        check_points(stop / h, f"grid to {stop:.4g} at step {h}")
         return np.arange(0.0, stop, h)
 
     k, p = nd.kind, nd.params
@@ -487,16 +502,16 @@ def size_biased_char_fn(d: DiscreteDist, u: float) -> complex:
     return char_fn(size_bias_discrete(d), u)
 
 
-def size_biased_char_fn_fd(d, u: float, step=FD_STEP) -> complex:
+def size_biased_char_fn_fd(d, u: float) -> complex:
     """Same quantity through the derivative identity phi'(u)/(i*mean).
 
-    Central difference with the default step keeps the two routes within
+    Central difference with step FD_STEP keeps the two routes within
     1e-6 of each other for |u| <= 10.
     """
     a = moment(d, 1)
     if a <= 0:
         raise ZeroMean("mean must be positive to size bias")
-    dphi = (char_fn(d, u + step) - char_fn(d, u - step)) / (2 * step)
+    dphi = (char_fn(d, u + FD_STEP) - char_fn(d, u - FD_STEP)) / (2 * FD_STEP)
     return dphi / (1j * a)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DiscreteDist, GridDensity
+from .dist_core import DiscreteDist, GridDensity, check_points
 from .errors import (
     GapInSupport,
     GridTooCoarse,
@@ -127,17 +127,16 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
     return DiscreteDist.from_pmf(f / f.sum(), tail_bound=tail)
 
 
-def extract_increment(fX: DiscreteDist, examine_tail=EXAMINE_TAIL,
-                      neg_tol=NEG_MASS_TOL) -> IdTestResult:
+def extract_increment(fX: DiscreteDist) -> IdTestResult:
     """Invert the recursion: solve for the increment law given the pmf.
 
     The mean is taken from the input pmf itself.  For a truncated input
     (nonzero tail_bound) indices are examined only while the input still
-    has at least ``examine_tail`` mass above them; later coefficients
+    has at least EXAMINE_TAIL mass above them; later coefficients
     are pure truncation noise.  An exact input's zeros past the support
     are real, so there the recursion runs past the last atom, where
     finite-support counterexamples reveal themselves.  A coefficient
-    below -neg_tol is a divisibility counterexample.
+    below -NEG_MASS_TOL is a divisibility counterexample.
     """
     ks = np.round(fX.xs).astype(int)
     if np.any(np.abs(fX.xs - ks) > 1e-9) or ks[0] < 0:
@@ -161,10 +160,10 @@ def extract_increment(fX: DiscreteDist, examine_tail=EXAMINE_TAIL,
     else:
         below = np.cumsum(f)      # below[k] = mass at or under k
         examined = np.array([k for k in range(1, K + 1)
-                             if below[k - 1] < 1 - examine_tail], dtype=int)
+                             if below[k - 1] < 1 - EXAMINE_TAIL], dtype=int)
         if examined.size == 0:
             examined = np.array([1], dtype=int)
-    bad = [k for k in examined if fy[k] < -neg_tol]
+    bad = [k for k in examined if fy[k] < -NEG_MASS_TOL]
     if bad:
         k0 = bad[0]
         return IdTestResult(False, a, None, k0, float(fy[k0]), fy, examined)
@@ -209,10 +208,11 @@ def levy_char_fn(levy: LevyRepr, u: float) -> complex:
 # ===================================================================
 
 def _check_grid(h, xmax):
-    if h > 1e-3 + 1e-15:
-        raise GridTooCoarse(f"grid step {h} too coarse, need h <= 1e-3")
+    if not 0 < h <= 1e-3 + 1e-15:
+        raise GridTooCoarse(f"grid step {h} outside (0, 1e-3]")
     if xmax < 3:
         raise GridTooCoarse(f"xmax must be at least 3, got {xmax}")
+    check_points(xmax / h + 1, f"grid to {xmax:g} at step {h:g}")
     m1 = round(1.0 / h)
     if abs(1.0 / h - m1) > 1e-6:
         raise GridTooCoarse("1/h must be an integer so the unit delay sits on the grid")

@@ -21,6 +21,10 @@ from .errors import DomainError, QuadratureFailure, TruncationTooSevere
 
 MIN_RATIO = 1.01           # c below this makes the theta series impractical
 TRUNC_MASS = 1e-14         # edge orbit mass allowed at truncation width M
+FIXED_POINT_TOL = 1e-10    # orbit_size_bias_check: largest mass gap still a fixed point
+STIELTJES_PANELS = 100_000  # trapezoid panels for stieltjes_moment
+NORMALIZER_PANELS = 10_000  # trapezoid panels for mixture_normalizer
+RECONSTRUCTION_POINTS = (0.5, 1.7, 4.0)  # where mixture_reconstruction_check compares
 
 
 def _check_ratio(c):
@@ -138,7 +142,7 @@ def _geometric_ratio(xs):
     return c
 
 
-def orbit_size_bias_check(o, c: float | None = None, tol: float = 1e-10) -> bool:
+def orbit_size_bias_check(o, c: float | None = None) -> bool:
     """Does size biasing equal scaling by c?  True on orbit laws only.
 
     Accepts an OrbitDist or any DiscreteDist on a geometric grid (the
@@ -158,7 +162,7 @@ def orbit_size_bias_check(o, c: float | None = None, tol: float = 1e-10) -> bool
     # scaled law occupies slots 1.. plus one new slot past the top
     gaps = np.abs(star[1:] - ps[:-1])
     worst = max(float(gaps.max()), float(star[0]), float(ps[-1]))
-    return worst <= tol
+    return worst <= FIXED_POINT_TOL
 
 
 # ===================================================================
@@ -208,13 +212,13 @@ def stieltjes_density(s: StieltjesDensity, x):
     return float(out[0]) if scalar else out
 
 
-def stieltjes_moment(s: StieltjesDensity, n: int, panels: int = 100_000) -> float:
+def stieltjes_moment(s: StieltjesDensity, n: int) -> float:
     """n-th moment by quadrature after substituting x = e^(sigma z).
 
     The substitution turns the integrand Gaussian; z in [-10, 10] leaves
     tails below 1e-20 for the n in range.
     """
-    z = np.linspace(-10.0, 10.0, panels + 1)
+    z = np.linspace(-10.0, 10.0, STIELTJES_PANELS + 1)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
     wiggle = 1.0 + s.delta * np.sin(2 * math.pi * s.m * z / s.sigma)
     vals = np.exp(n * s.sigma * z) * phi * wiggle
@@ -228,7 +232,7 @@ def stieltjes_moment(s: StieltjesDensity, n: int, panels: int = 100_000) -> floa
 # the mixture that rebuilds the lognormal
 # ===================================================================
 
-def mixture_normalizer(c: float, panels: int = 10_000) -> float:
+def mixture_normalizer(c: float) -> float:
     """k_c = integral over [1, c) of f(x) t(x, c) dx; equals 1 exactly.
 
     The telescoping of f(x c^n) against the theta terms folds the whole
@@ -237,7 +241,7 @@ def mixture_normalizer(c: float, panels: int = 10_000) -> float:
     """
     _check_ratio(c)
     s2 = math.log(c)
-    xs = np.linspace(1.0, c, panels + 1)
+    xs = np.linspace(1.0, c, NORMALIZER_PANELS + 1)
     ts = np.array([theta_t(x, c) for x in xs])
     vals = lognormal_density(xs, s2) * ts
     out = float(trapezoid(vals, xs))
@@ -256,8 +260,8 @@ def mixture_density_hc(c: float, b: float, k_c: float | None = None) -> float:
     return lognormal_density(b, math.log(c)) * theta_t(b, c) / k_c
 
 
-def mixture_reconstruction_check(c: float, xs=(0.5, 1.7, 4.0)) -> float:
-    """Max pointwise gap between the mixed orbit density and the lognormal.
+def mixture_reconstruction_check(c: float) -> float:
+    """Max gap between the mixed orbit density and the lognormal at RECONSTRUCTION_POINTS.
 
     Every x > 0 belongs to exactly one orbit slot: x = b c^n with b in
     [1, c).  The mixture density at x is h_c(b) times the orbit mass at
@@ -266,7 +270,7 @@ def mixture_reconstruction_check(c: float, xs=(0.5, 1.7, 4.0)) -> float:
     k_c = mixture_normalizer(c)
     s2 = math.log(c)
     worst = 0.0
-    for x in xs:
+    for x in RECONSTRUCTION_POINTS:
         n = math.floor(math.log(x) / s2)
         b = x * c ** (-n)
         if b < 1.0:

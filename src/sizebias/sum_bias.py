@@ -22,6 +22,8 @@ from .errors import (
 )
 
 CONV_ATOM_CAP = 1_000_000
+UNIFORM_STAR_DEPTH = 52    # binary digits: the whole double mantissa
+CANTOR_STAR_DEPTH = 40     # ternary digits: 3^-40 is below double precision at scale 1
 
 
 @dataclass(frozen=True)
@@ -39,37 +41,25 @@ class IndependentSum:
                 raise ZeroMeanTerm(f"term {i} has mean {t.mean()}")
 
 
-@dataclass(frozen=True)
-class IndexDist:
-    """Which term got biased: P(I=i) proportional to the term means."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
-            raise ValueError("index weights must be a probability vector")
-
-
-def index_distribution(s: IndependentSum) -> IndexDist:
+def index_distribution(s: IndependentSum) -> np.ndarray:
+    """Which term gets biased: P(I=i) proportional to the term means."""
     means = np.array([t.mean() for t in s.terms])
-    return IndexDist(means / means.sum())
+    return means / means.sum()
 
 
-def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc, cap=CONV_ATOM_CAP) -> DiscreteDist:
+def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc) -> DiscreteDist:
     """Exact law of ufunc(X1, X2) for independent atom lists: an outer product, merged."""
     n = d1.xs.size * d2.xs.size
-    if n > cap:
-        raise SupportOverflow(f"outer {ufunc.__name__} would touch {n} atoms, cap {cap}")
+    if n > CONV_ATOM_CAP:
+        raise SupportOverflow(f"outer {ufunc.__name__} would touch {n} atoms, cap {CONV_ATOM_CAP}")
     xs, ps = merge_atoms(ufunc.outer(d1.xs, d2.xs).ravel(),
                          np.multiply.outer(d1.ps, d2.ps).ravel())
     return DiscreteDist(xs, ps / ps.sum(), signed=d1.signed or d2.signed)
 
 
-def convolve(d1: DiscreteDist, d2: DiscreteDist, cap=CONV_ATOM_CAP) -> DiscreteDist:
+def convolve(d1: DiscreteDist, d2: DiscreteDist) -> DiscreteDist:
     """Exact pmf of the independent sum of two atom lists."""
-    return _combine(d1, d2, np.add, cap)
+    return _combine(d1, d2, np.add)
 
 
 def convolve_all(terms) -> DiscreteDist:
@@ -89,7 +79,7 @@ def size_biased_sum_pmf(s: IndependentSum) -> DiscreteDist:
     """
     pieces = [convolve_all(s.terms[:i] + (size_bias_discrete(t),) + s.terms[i + 1:])
               for i, t in enumerate(s.terms)]
-    return mix(pieces, index_distribution(s).probs)
+    return mix(pieces, index_distribution(s))
 
 
 def sample_size_biased_sum(s: IndependentSum, rng, n: int) -> np.ndarray:
@@ -100,12 +90,11 @@ def sample_size_biased_sum(s: IndependentSum, rng, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need n >= 1 draws, got {n}")
-    idx = index_distribution(s)
     total = np.zeros(n)
     draws = [t.sample(rng, n) for t in s.terms]
     for d in draws:
         total += d
-    which = rng.choice(len(s.terms), size=n, p=idx.probs)
+    which = rng.choice(len(s.terms), size=n, p=index_distribution(s))
     stars = [size_bias_discrete(t).sample(rng, n) for t in s.terms]
     for i in range(len(s.terms)):
         sel = which == i
@@ -167,7 +156,7 @@ def mix(components, weights) -> DiscreteDist:
 # digit constructions
 # ===================================================================
 
-def sample_uniform_star(rng, n: int, depth: int = 52) -> np.ndarray:
+def sample_uniform_star(rng, n: int) -> np.ndarray:
     """Draw from the transform of Uniform(0,1) by digit surgery.
 
     Write U in binary and force bit J to 1, where P(J=i) = 2^{-i}.  The
@@ -175,26 +164,24 @@ def sample_uniform_star(rng, n: int, depth: int = 52) -> np.ndarray:
     """
     u = rng.random(n)
     j = rng.geometric(0.5, size=n)
-    np.clip(j, 1, depth, out=j)
+    np.clip(j, 1, UNIFORM_STAR_DEPTH, out=j)
     w = 2.0 ** (-j.astype(float))
     bit = np.floor(u / w) % 2
     return u + (1.0 - bit) * w
 
 
-def sample_cantor_star(rng, n: int, depth: int = 40):
+def sample_cantor_star(rng, n: int):
     """Paired draws (S, S*) for the middle-thirds singular law.
 
     S = sum of 2*B_i/3^i with fair bits B_i.  Biasing picks index I with
-    P(I=i) = 2/3^i and forces digit I on: S* = S + 2(1-B_I)/3^I.  Depth
-    40 puts the truncation error below double precision at scale 1.
+    P(I=i) = 2/3^i and forces digit I on: S* = S + 2(1-B_I)/3^I, both
+    cut at CANTOR_STAR_DEPTH digits.
     """
-    if depth < 30:
-        raise ValueError(f"depth must be at least 30, got {depth}")
-    bits = rng.integers(0, 2, size=(n, depth))
-    pows = 3.0 ** -np.arange(1, depth + 1)
+    bits = rng.integers(0, 2, size=(n, CANTOR_STAR_DEPTH))
+    pows = 3.0 ** -np.arange(1, CANTOR_STAR_DEPTH + 1)
     s = 2.0 * bits @ pows
     i = rng.geometric(2.0 / 3.0, size=n)
-    np.clip(i, 1, depth, out=i)
+    np.clip(i, 1, CANTOR_STAR_DEPTH, out=i)
     b_i = bits[np.arange(n), i - 1]
     s_star = s + 2.0 * (1.0 - b_i) * pows[i - 1]
     return s, s_star

@@ -96,7 +96,7 @@ def test_estimated_gap_matches_shared_summand_coupling():
         x_star = x - b[np.arange(n), j] + 1
         return x_star, x
 
-    est = sb.estimate_coupling_gap(draw_pair, 200_000, RNG, tag="shared summand")
+    est = sb.estimate_coupling_gap(draw_pair, 200_000, RNG)
     assert est.se is not None
     assert abs(est.gap - p) < 4 * est.se
     bound = sb.stein_poisson_bound(n_terms * p, est)
@@ -218,6 +218,24 @@ def test_tiny_coupling_bound_underflows_to_zero():
     assert tight == gauss == 0.0
     with pytest.raises(ValueError):
         sb.ConcentrationParams(1.0, float("nan"), 2.0)
+
+
+def test_bd0_is_homogeneous_where_the_sum_overflows():
+    import sizebias.bounds as B
+    # x + a overflows here; bd0(t x, t a) = t bd0(x, a)
+    assert B._bd0(1e308, 1.2e308) == pytest.approx(1e300 * B._bd0(1e8, 1.2e8), rel=1e-12)
+
+
+def test_concentration_bounds_keep_their_scale_at_the_ends_of_the_double_range():
+    # both bounds are unchanged when a, c and x scale together; at 1e306
+    # x + a and (x - a)^2 overflow, at 1e-200 they underflow to 0 / 0
+    for (a, c, x), fn, t in (((100.0, 1.0, 120.0), sb.concentration_upper, 1e306),
+                             ((150.0, 1.0, 10.0), sb.concentration_lower, 1e306),
+                             ((1.0, 1.0, 2.0), sb.concentration_upper, 1e-200)):
+        unit = fn(sb.ConcentrationParams(a, c, x))
+        scaled = fn(sb.ConcentrationParams(a * t, c * t, x * t))
+        assert 0.0 < unit[0] < unit[1] < 1.0
+        assert scaled == pytest.approx(unit, rel=1e-12), t
 
 
 def test_bound_violations_raise_without_assert(monkeypatch):

@@ -395,11 +395,31 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                                "borel:0.5", "lognormal:0,2000")),
                  ["transform", "--dist", "lognormal:0,2000"],
                  ["renewal", "--interarrival", "uniform01", "--n", "10", "--horizon", "1e12"])
-    for argv in bad_input:
-        p = _fresh_python("-m", "sizebias.cli", *argv)
+    # tabulations and grids that would not fit in memory, or take minutes to fill
+    unbounded = (["transform", "--dist", "geometric:1e-300"],
+                 ["transform", "--dist", "geometric:1e-9"],
+                 ["sum", "--dist", "poisson:1e18"],
+                 ["sum", "--dist", "binomial:1e8,0.5"],
+                 ["stein", "--n", "1000000000000", "--p", "0.5"],
+                 ["stein", "--n", "100000000", "--p", "0.5"],
+                 ["dickman", "--a", "1", "--h", "1e-9"],
+                 ["buchstab", "--a", "1", "--b", "0.5", "--xmax", "1e12"])
+    for argv in (*bad_input, *unbounded):
+        p = _fresh_python("-m", "sizebias.cli", *argv, timeout=30)
         assert p.returncode == 2, argv
         assert p.stdout == "" and p.stderr.startswith("error:")
         assert "Traceback" not in p.stderr
+    # x + a and (x - a)^2 overflow near the top of the double range
+    p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", "9e307", "--c", "1",
+                      "--x", "9e307", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == {"side": "upper", "tight": 1, "gaussian": 1}
+    for a, c, x in (("1e308", "1e10", "1.2e308"), ("1.5e308", "1", "1e307")):
+        p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", a, "--c", c, "--x", x,
+                          timeout=30)
+        assert p.returncode == 0, p.stderr
+        doc = json.loads(p.stdout)
+        assert 0.0 <= doc["tight"] <= doc["gaussian"] <= 1.0
     # exp(-1000) underflows; the Poisson cut must still be found
     p = _fresh_python("-m", "sizebias.cli", "stein", "--n", "2000", "--p", "0.5", timeout=30)
     assert p.returncode == 0, p.stderr

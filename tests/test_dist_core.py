@@ -170,6 +170,7 @@ CLOSED_FORMS = [
     ("lognormal", (0.0, 1.0), 0.0, "lognormal", (1.0, 1.0)),
     ("uniform01", (), 0.0, "beta", (2.0, 1.0)),
     ("dirac", (3.0,), 0.0, "dirac", (3.0,)),
+    ("beta", (2.0, 3.0), 0.0, "beta", (3.0, 3.0)),
 ]
 
 

@@ -203,11 +203,36 @@ def test_dickman_moment_shift_identity():
     assert abs(m2 - m1 * (m1 + 0.5)) <= 1e-3
 
 
+def _dickman_rho(x):
+    """The classical decay function on [1, 3] in closed form."""
+    from scipy.special import spence      # spence(z) = Li2(1 - z)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        upper = 1.0 - (1.0 - np.log(x - 1.0)) * np.log(x) + spence(x) + math.pi ** 2 / 12
+    return np.where(x <= 2.0, 1.0 - np.log(x), upper)
+
+
+def test_dickman_matches_closed_form_rho():
+    # at a = 1 the density is e^-gamma rho(x); xmax = 10 keeps the
+    # renormalization over the cut domain below the grid error
+    def worst(h):
+        g = sb.dickman_solve(1.0, h=h, xmax=10.0)
+        xs = g.grid()
+        on = (xs >= 1.0) & (xs <= 3.0)
+        return float(np.abs(g.values[on] - math.exp(-EULER_GAMMA) * _dickman_rho(xs[on])).max())
+
+    coarse, fine = worst(1e-3), worst(5e-4)
+    assert coarse <= 1e-7
+    assert 3.5 <= coarse / fine <= 4.5      # second order in h
+
+
 def test_dickman_grid_guards():
     with pytest.raises(GridTooCoarse):
         sb.dickman_solve(1.0, h=0.01)
     with pytest.raises(GridTooCoarse):
         sb.dickman_solve(1.0, xmax=2.0)
+    with pytest.raises(GridTooCoarse):
+        sb.dickman_solve(1.0, h=0.0)
     with pytest.raises(ValueError):
         sb.dickman_solve(-1.0)
 

@@ -6,7 +6,7 @@ from scipy import stats
 
 import sizebias as sb
 import sizebias.stochastic as T
-from sizebias.errors import (ConstantInput, DomainError, HorizonTooShort, NoClosedForm, NonzeroMean,
+from sizebias.errors import (ConstantInput, DomainError, HorizonTooShort, NonzeroMean,
                              NoSampler, SupportOverflow, ZeroMean)
 
 RNG = np.random.default_rng(np.random.Philox(20240821))
@@ -157,6 +157,14 @@ def test_stationary_counts_deterministic_gap():
     assert abs(counts.mean() - 10.5) < 5 * se
 
 
+def test_stationary_counts_beta():
+    # Beta(a, b) gaps have mean a/(a+b): the count averages window*(a+b)/a
+    a, b, window = 2.0, 3.0, 20.0
+    counts = sb.stationary_renewal_arrivals(sb.NamedDist("beta", (a, b)), window, 20_000, RNG)
+    se = counts.std() / math.sqrt(counts.size)
+    assert abs(counts.mean() - window * (a + b) / a) < 5 * se
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         sb.stationary_renewal_arrivals(sb.NamedDist("exponential", ()), 0.0, 10, RNG)
@@ -194,10 +202,10 @@ def test_families_without_sampler_rejected_before_drawing():
             sb.simulate_renewal_inspection(d, 500.0, 5, rng)
         with pytest.raises(NoSampler):
             sb.stationary_renewal_arrivals(d, 5.0, 5, rng)
-    # beta streams run, but the stationary phase needs a closed-form transform
-    with pytest.raises(NoClosedForm):
-        sb.stationary_renewal_arrivals(sb.NamedDist("beta", (2.0, 1.0)), 5.0, 5, rng)
     assert rng.bit_generator.state == state
+    # beta has a sampler and a closed-form transform, so its stationary phase runs
+    beta = sb.NamedDist("beta", (2.0, 1.0))
+    assert sb.stationary_renewal_arrivals(beta, 5.0, 5, np.random.default_rng(1)).shape == (5,)
 
 
 def test_arrival_buffer_capped_before_allocating():
