@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import (DiscreteDist, binom_pmf, check_points, merge_atoms, poisson_pmf,
-                        poisson_reach)
+from .dist_core import (DiscreteDist, bd0, binom_pmf, check_points, merge_atoms,
+                        poisson_pmf, poisson_reach)
 from .errors import BoundViolated, DomainError
 
 TAIL_TERM_CUT = 1e-18      # stop tail sums once terms fall below this x partial
@@ -101,33 +101,9 @@ def binomial_poisson_check(n: int, p: float):
 # concentration from a bounded coupling
 # ===================================================================
 
-def _bd0(x, a):
-    """x log(x/a) + a - x without the cancellation near x = a.
-
-    Near a the log is expanded in v = (x - a)/(x + a), whose series
-    leads with (x - a) v (Loader 2000, "Fast and accurate computation
-    of binomial probabilities").
-    """
-    if x + a == math.inf:       # bd0 is homogeneous of degree 1
-        return 2.0 * _bd0(0.5 * x, 0.5 * a)
-    if abs(x - a) >= 0.1 * (x + a):
-        return x * math.log(x / a) + a - x
-    v = (x - a) / (x + a)
-    total = (x - a) * v
-    term = 2 * x * v
-    j = 1
-    while True:
-        term *= v * v
-        nxt = total + term / (2 * j + 1)
-        if nxt == total:
-            return total
-        total = nxt
-        j += 1
-
-
 def _tight(a, c, x):
     # (a/x)^(x/c) e^((x-a)/c) = exp(-bd0(x, a)/c), which cannot overflow
-    return math.exp(-_bd0(x, a) / c)
+    return math.exp(-float(bd0(x, a)) / c)
 
 
 def _gaussian(d, c, m):

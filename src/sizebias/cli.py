@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SizeBiasError, NoClosedForm
 from .dist_core import (
-    DiscreteDist, GridDensity, NamedDist, ShiftedNamed,
+    DiscreteDist, GridDensity, NamedDist, ShiftedNamed, check_points,
     closed_form_size_bias, tabulate_named, named_mean,
     size_bias_discrete, size_bias_density, moment,
     dist_to_json, dist_from_json,
@@ -42,7 +42,7 @@ from .inf_div import (
 )
 from .lognormal import (
     orbit_pmf, orbit_as_dist, orbit_size_bias_check, berg_pmf,
-    StieltjesDensity, stieltjes_moment,
+    STIELTJES_PANELS, StieltjesDensity, stieltjes_moment,
     mixture_normalizer, mixture_reconstruction_check,
 )
 from .midzuno import load_population_csv, midzuno_sample, ratio_estimate
@@ -275,6 +275,7 @@ def _cmd_orbit(args) -> dict:
 
 def _cmd_stieltjes(args) -> dict:
     s = StieltjesDensity(args.m, args.delta, args.sigma)
+    check_points((args.kmax + 1) * (STIELTJES_PANELS + 1), f"{args.kmax + 1} moment quadratures")
     ks = list(range(args.kmax + 1))
     return {"m": s.m, "delta": s.delta, "sigma": s.sigma,
             "moments": [stieltjes_moment(s, k) for k in ks],

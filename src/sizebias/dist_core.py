@@ -44,20 +44,63 @@ def trapezoid(y, x=None, dx=1.0):
     return (d * (y[1:] + y[:-1]) / 2.0).sum()
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n."""
-    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+# stirlerr(0..15) from 50-digit values; k = 0 is a placeholder, the k = 0 mass is e^-mu
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+
+def stirlerr(k):
+    """log k! - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1; tabulated to 15, series above."""
+    big = np.maximum(k, 16.0)
+    kk = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / big
+    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(int)], series)
+
+
+def bd0(x, m):
+    """x log(x/m) + m - x for x, m > 0, elementwise, as in Loader (2000), "Fast and accurate
+    computation of binomial probabilities": near x = m a series in v = (x - m)/(x + m).
+
+    The closed form cancels up to 10x at |v| = 0.1, an error near 1e-16 (x + m) that masses
+    feel from x + m ~ 1e4, so for 1e3 <= x + m < 1e5 the series runs to |v| = 0.5 (past 1e5,
+    |v| >= 0.1 means masses below e^-900).  Where x + m overflows both are halved, and
+    log x - log m stands in for log(x/m) only where x/m underflows.
+    """
+    x, m = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(m, dtype=float))
+    shape = x.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(np.isinf(x + m), 0.5, 1.0).ravel()
+        x, m = s * x.ravel(), s * m.ravel()
+        r = x / m
+        out = x * np.where(r < np.finfo(float).tiny, np.log(x) - np.log(m), np.log(r)) + m - x
+        near = np.abs(x - m) < np.where((1e3 <= x + m) & (x + m < 1e5), 0.5, 0.1) * (x + m)
+    xn, mn = x[near], m[near]
+    v = (xn - mn) / (xn + mn)
+    v2, total, term = v * v, (xn - mn) * v, 2 * xn * v
+    for j in range(1, 64):     # |v| < 0.5 converges by j = 30
+        term *= v2
+        nxt = total + term / (2 * j + 1)
+        if np.array_equal(nxt, total):     # the terms shrink: a settled entry stays put
+            break
+        total = nxt
+    out[near] = total
+    return (out / s).reshape(shape)
+
+
+def _poisson_mass(k, mu):
+    """Poisson(mu) masses exp(-stirlerr(k) - bd0(k, mu)) / sqrt(2 pi k) at integers k >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.exp(-stirlerr(k) - bd0(k, mu)) / np.sqrt(2 * math.pi * k)
+    return np.where(k == 0, np.exp(-mu), mass)
 
 
 def binom_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) masses on 0..n, computed in log space."""
-    if p == 1.0:
-        pmf = np.zeros(n + 1)
-        pmf[n] = 1.0
-        return pmf
-    ks = np.arange(n + 1)
-    lf = _log_factorials(n)
-    return np.exp(lf[n] - lf - lf[::-1] + ks * math.log(p) + (n - ks) * math.log1p(-p))
+    """Binomial(n, p) masses on 0..n as Poisson masses pi(k; np) pi(n - k; nq) / pi(n; n)."""
+    ks = np.arange(n + 1.0)
+    return _poisson_mass(ks, n * p) * _poisson_mass(n - ks, n * (1 - p)) / _poisson_mass(n, n)
 
 
 def poisson_reach(lam: float) -> int:
@@ -72,8 +115,8 @@ def check_points(n, what: str) -> None:
 
 
 def poisson_pmf(lam: float, hi: int) -> np.ndarray:
-    """Poisson(lam) masses on 0..hi, computed in log space so no term underflows early."""
-    return np.exp(np.arange(hi + 1) * math.log(lam) - lam - _log_factorials(hi))
+    """Poisson(lam) masses on 0..hi; no term underflows before its true value does."""
+    return _poisson_mass(np.arange(hi + 1.0), lam)
 
 
 # ===================================================================
@@ -544,20 +587,19 @@ def size_bias_by_conditioning(pairs) -> DiscreteDist:
 def borel_pmf(lam: float, N: int = 200, tail_tol=1e-9) -> DiscreteDist:
     """Total-progeny law of a subcritical branching tree, truncated at N.
 
-    P(X = i) = e^{-lam*i} (lam*i)^{i-1} / i! for i >= 1.  Raises
-    TailTooHeavy when the first N terms leave more than tail_tol behind.
+    P(X = i) = e^{-lam*i} (lam*i)^{i-1} / i!, the Poisson(lam*i) mass at i over lam*i.
+    Raises TailTooHeavy when the first N terms leave more than tail_tol behind.
     """
     if not 0 <= lam < 1:
         raise ValueError(f"rate must be in [0, 1), got {lam}")
     if lam == 0.0:
         return DiscreteDist(np.array([1.0]), np.array([1.0]))
-    ks = np.arange(1, N + 1)
-    logp = -lam * ks + (ks - 1) * np.log(lam * ks) - _log_factorials(N)[1:]
-    pmf = np.exp(logp)
+    ks = np.arange(1.0, N + 1)
+    pmf = _poisson_mass(ks, lam * ks) / (lam * ks)
     tail = 1.0 - pmf.sum()
     if tail > tail_tol:
         raise TailTooHeavy(f"tail mass {tail:.3e} exceeds {tail_tol} at N={N}")
-    return DiscreteDist(ks.astype(float), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
+    return DiscreteDist(ks, pmf / pmf.sum(), tail_bound=max(tail, 0.0))
 
 
 # ===================================================================

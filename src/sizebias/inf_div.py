@@ -115,10 +115,12 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
         if abs(y - round(y)) > 1e-12 or round(y) < 1:
             raise NonIntegerJump(f"jump size {y} is not a positive integer")
         ys.append(int(round(y)))
-    kmax = max(ys)
-    fy = np.zeros(max(kmax, N) + 1)
+    check_points(N + 1, f"compound-Poisson pmf on 0..{N}")
+    # a jump past N cannot reach 0..N; it acts only through f(0)
+    fy = np.zeros(N + 1)
     for (y, r), k in zip(levy.jumps, ys):
-        fy[k] = k * r / levy.a
+        if k <= N:
+            fy[k] = k * r / levy.a
     f = np.zeros(N + 1)
     f[0] = math.exp(-levy.total_rate())
     for m in range(N):
@@ -144,6 +146,7 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     exact = fX.tail_bound == 0.0
     K = int(ks[-1])
     kmax = 2 * K + 10 if exact else K
+    check_points(kmax + 1, f"increment extraction to {kmax}")
     f = np.zeros(kmax + 1)
     f[ks] = fX.ps
     if f[0] <= 0:

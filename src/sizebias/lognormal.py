@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DiscreteDist, trapezoid
+from .dist_core import DiscreteDist, check_points, trapezoid
 from .errors import DomainError, QuadratureFailure, TruncationTooSevere
 
 MIN_RATIO = 1.01           # c below this makes the theta series impractical
@@ -56,6 +56,7 @@ def theta_t(b: float, c: float) -> float:
 
 
 def _orbit_terms(b, c, M):
+    check_points(2 * M + 1, f"orbit half-width {M}")
     ns = np.arange(-M, M + 1)
     return ns, np.exp(-ns * math.log(b) - 0.5 * ns.astype(float) ** 2 * math.log(c))
 
@@ -215,13 +216,17 @@ def stieltjes_density(s: StieltjesDensity, x):
 def stieltjes_moment(s: StieltjesDensity, n: int) -> float:
     """n-th moment by quadrature after substituting x = e^(sigma z).
 
-    The substitution turns the integrand Gaussian; z in [-10, 10] leaves
-    tails below 1e-20 for the n in range.
+    The substitution turns the integrand e^(n sigma z) times the normal
+    density, a Gaussian bump at z = n sigma; z within 10 of the bump
+    leaves tails below 1e-20 of the moment e^(n^2 sigma^2 / 2).  Raises
+    QuadratureFailure where that moment overflows a double.
     """
-    z = np.linspace(-10.0, 10.0, STIELTJES_PANELS + 1)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    top = n * s.sigma
+    if top * top / 2 > math.log(np.finfo(float).max):
+        raise QuadratureFailure(f"moment n={n} is e^{top * top / 2:.4g}, past the double range")
+    z = np.linspace(top - 10.0, top + 10.0, STIELTJES_PANELS + 1)
     wiggle = 1.0 + s.delta * np.sin(2 * math.pi * s.m * z / s.sigma)
-    vals = np.exp(n * s.sigma * z) * phi * wiggle
+    vals = np.exp(top * z - 0.5 * z * z) / math.sqrt(2 * math.pi) * wiggle
     out = float(trapezoid(vals, z))
     if not math.isfinite(out):
         raise QuadratureFailure(f"moment n={n} quadrature returned {out}")

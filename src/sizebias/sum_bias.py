@@ -48,13 +48,17 @@ def index_distribution(s: IndependentSum) -> np.ndarray:
 
 
 def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc) -> DiscreteDist:
-    """Exact law of ufunc(X1, X2) for independent atom lists: an outer product, merged."""
+    """Exact law of ufunc(X1, X2) for independent atom lists: an outer product, merged.
+
+    Truncated inputs lose at most the sum of their tail bounds.
+    """
     n = d1.xs.size * d2.xs.size
     if n > CONV_ATOM_CAP:
         raise SupportOverflow(f"outer {ufunc.__name__} would touch {n} atoms, cap {CONV_ATOM_CAP}")
     xs, ps = merge_atoms(ufunc.outer(d1.xs, d2.xs).ravel(),
                          np.multiply.outer(d1.ps, d2.ps).ravel())
-    return DiscreteDist(xs, ps / ps.sum(), signed=d1.signed or d2.signed)
+    return DiscreteDist(xs, ps / ps.sum(), signed=d1.signed or d2.signed,
+                        tail_bound=d1.tail_bound + d2.tail_bound)
 
 
 def convolve(d1: DiscreteDist, d2: DiscreteDist) -> DiscreteDist:
@@ -144,12 +148,16 @@ def size_bias_mixture(components, weights):
 
 
 def mix(components, weights) -> DiscreteDist:
-    """Mixture pmf: the weighted atom lists merged, then renormalized."""
+    """Mixture pmf: the weighted atom lists merged, then renormalized.
+
+    The tail bound is the weighted sum of the components' bounds.
+    """
     weights = np.asarray(weights, dtype=float)
     pieces_x = np.concatenate([c.xs for c in components])
     pieces_p = np.concatenate([w * c.ps for w, c in zip(weights, components)])
     xs, ps = merge_atoms(pieces_x, pieces_p)
-    return DiscreteDist(xs, ps / ps.sum())
+    tail = float(weights @ [c.tail_bound for c in components])
+    return DiscreteDist(xs, ps / ps.sum(), tail_bound=tail)
 
 
 # ===================================================================

@@ -266,9 +266,11 @@ def test_renewal_pool_capped_at_streams_and_cpus(capsys, monkeypatch):
 
 
 def test_default_stdout_matches_golden(capsys):
-    # atoms-only inputs: the outputs involve no exp or log, so the bytes are portable
+    # the first nine take atoms only and involve no exp or log, so their bytes are portable;
+    # the last four (stein, named binomials, borel, stieltjes) pin the saddle-point masses
+    # and the centred quadrature, whose last bits rest on numpy's exp, log and sin
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(golden) >= 8
+    assert len(golden) >= 13
     for case in golden:
         code, out, err = run_cli(capsys, *case["argv"])
         assert code == 0, err
@@ -403,7 +405,12 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                  ["stein", "--n", "1000000000000", "--p", "0.5"],
                  ["stein", "--n", "100000000", "--p", "0.5"],
                  ["dickman", "--a", "1", "--h", "1e-9"],
-                 ["buchstab", "--a", "1", "--b", "0.5", "--xmax", "1e12"])
+                 ["buchstab", "--a", "1", "--b", "0.5", "--xmax", "1e12"],
+                 ["compound-poisson", "--a", "2", "--increment", "atoms:1=1", "--n", "100000000"],
+                 ["stieltjes", "--kmax", "1000000000"],
+                 ["stieltjes", "--kmax", "40"],
+                 ["orbit", "--b", "1.5", "--c", "2", "--half-width", "1000000000000"],
+                 ["berg", "--sign", "1", "--c", "2", "--half-width", "1000000000000"])
     for argv in (*bad_input, *unbounded):
         p = _fresh_python("-m", "sizebias.cli", *argv, timeout=30)
         assert p.returncode == 2, argv
@@ -425,6 +432,16 @@ def test_former_crash_and_hang_argv_exit_cleanly():
     assert p.returncode == 0, p.stderr
     doc = json.loads(p.stdout)
     assert 0.0 < doc["exact_tv"] <= doc["bound"] == 0.5
+    # x/a underflows to 0; the log-factorial binomial was refused as not summing to 1
+    p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", "1e300", "--c", "1",
+                      "--x", "1e-300", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout) == {"side": "lower", "tight": 0, "gaussian": 0}
+    p = _fresh_python("-m", "sizebias.cli", "sum", "--dist", "binomial:5000,0.5", timeout=30)
+    assert p.returncode == 0, p.stderr
+    atoms = np.array(json.loads(p.stdout)["size_biased_sum"]["atoms"])
+    assert atoms[:, 0].tolist() == list(range(1, 5001))
+    assert atoms[:, 1] @ atoms[:, 0] == pytest.approx(2500.5, rel=1e-12)
     # 1e9 coupling steps: closed forms, no loop and no overflow
     p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", "1", "--c", "1e-9",
                       "--x", "2", timeout=30)

@@ -424,3 +424,106 @@ def test_non_finite_inputs_rejected():
                          ("binomial", (np.inf, 0.5)), ("lognormal", (0.0, np.inf))):
         with pytest.raises(ValueError):
             sb.NamedDist(kind, params)
+
+
+# -------------------------------------------------------------------
+# the saddle-point kernel against 50-digit mpmath
+
+def _mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    return mp
+
+
+def _stirlerr_exact(mp, k):
+    return mp.loggamma(k + 1) - (k + mp.mpf(1) / 2) * mp.log(k) + k - mp.log(2 * mp.pi) / 2
+
+
+def test_stirlerr_table_and_series_match_mpmath():
+    from sizebias.dist_core import _STIRLERR, stirlerr
+    mp = _mpmath()
+    assert _STIRLERR.size == 16 and _STIRLERR[0] == 0.0    # k = 0 is never read
+    for k in range(1, 16):
+        assert _STIRLERR[k] == float(_stirlerr_exact(mp, k)), k
+    # the five-term series is 1.1e-16 off at k = 16, an error in the exponent of a mass
+    for k in (*range(1, 41), 100, 1000, 12345, 10 ** 6, 10 ** 9):
+        assert abs(float(stirlerr(k)) - float(_stirlerr_exact(mp, k))) <= 2e-16, k
+
+
+def test_bd0_matches_mpmath():
+    from sizebias.dist_core import bd0
+    mp = _mpmath()
+    rng = np.random.default_rng(6)
+    # v = (x - m)/(x + m) across both branches, at every scale the masses use and beyond
+    m = np.exp(rng.uniform(math.log(1e-3), math.log(1e7), 400))
+    v = rng.uniform(-0.9, 0.9, 400)
+    x = m * (1 + v) / (1 - v)
+    got = bd0(x, m)
+    for xi, mi, g in zip(x, m, got):
+        X, M = mp.mpf(xi), mp.mpf(mi)
+        assert g == pytest.approx(float(X * mp.log(X / M) + M - X), rel=1e-13, abs=0), (xi, mi)
+    # x/m underflows: log x - log m takes over
+    assert bd0(1e-300, 1e300) == pytest.approx(1e300, rel=1e-15)
+    assert bd0(3.0, 3.0) == 0.0
+
+
+def _check_masses(mp, got, ks, exact_log):
+    for k in ks:
+        want = mp.exp(exact_log(k))
+        if want > mp.mpf("1e-300"):
+            assert abs(got[k] - want) <= 1e-12 * want, k
+
+
+def test_binom_pmf_matches_mpmath():
+    mp = _mpmath()
+    rng = np.random.default_rng(7)
+    for n in (1, 10, 150, 5000, 10 ** 5, 10 ** 6):
+        for p in (0.01, 0.3, 0.5, 0.97):
+            lp, lq = mp.log(mp.mpf(p)), mp.log(1 - mp.mpf(p))
+            got = binom_pmf(n, p)
+            mode = int(n * p)
+            # the mode, both branch edges of bd0, the ends, and random points
+            ks = {0, n, *range(max(mode - 3, 0), min(mode + 4, n + 1)),
+                  *rng.integers(0, n + 1, 12).tolist()}
+            for v in (-0.5, -0.1, 0.1, 0.5):
+                ks |= {k for k in range(int(n * p * (1 + v) / (1 - v)) - 1,
+                                        int(n * p * (1 + v) / (1 - v)) + 2) if 0 <= k <= n}
+            if n <= 150:
+                ks = range(n + 1)
+            _check_masses(mp, got, ks, lambda k: (mp.loggamma(n + 1) - mp.loggamma(k + 1)
+                                                  - mp.loggamma(n - k + 1) + k * lp + (n - k) * lq))
+
+
+def test_poisson_pmf_matches_mpmath():
+    mp = _mpmath()
+    for lam in (1e-3, 0.3, 7.5, 150.0, 999.0, 2e4, 1e6):
+        hi = 3 * poisson_reach(lam)
+        got = poisson_pmf(lam, hi)
+        L = mp.mpf(lam)
+        ks = set(np.linspace(0, hi, 60).astype(int).tolist())
+        for v in (-0.5, -0.1, 0.1, 0.5):
+            ks |= {int(lam * (1 + v) / (1 - v)) + d for d in (0, 1)}
+        _check_masses(mp, got, sorted(ks), lambda k: -L + k * mp.log(L) - mp.loggamma(k + 1))
+
+
+def test_borel_pmf_matches_mpmath():
+    mp = _mpmath()
+    for lam in (0.05, 0.5, 0.8):
+        d = sb.borel_pmf(lam, N=2000)
+        L = mp.mpf(lam)
+        exact = [mp.exp(-L * i + (i - 1) * mp.log(L * i) - mp.loggamma(i + 1))
+                 for i in range(1, 2001)]
+        total = mp.fsum(exact)
+        for i in (1, 2, 3, 10, 50, 200, 1000, 2000):
+            want = exact[i - 1] / total
+            if want > mp.mpf("1e-300"):
+                assert abs(d.ps[i - 1] - want) <= 1e-12 * want, (lam, i)
+
+
+def test_binom_pmf_total_mass_is_one():
+    # the log-factorial route drifted 1.7e-12 from one at n = 5000
+    for n in (5000, 10 ** 5, 10 ** 6):
+        for p in (0.3, 0.5):
+            assert abs(math.fsum(binom_pmf(n, p)) - 1.0) <= 1e-14, (n, p)
+    d = sb.tabulate_named(sb.NamedDist("binomial", (5000, 0.5)))
+    assert d.mean() == pytest.approx(2500.0, rel=1e-13)

@@ -7,7 +7,7 @@ from scipy.stats import poisson
 
 import sizebias as sb
 from sizebias.errors import (
-    GapInSupport, GridTooCoarse, NonIntegerJump, TruncationTooSevere,
+    GapInSupport, GridTooCoarse, NonIntegerJump, SupportOverflow, TruncationTooSevere,
     ZeroAtOrigin, ZeroSupportPoint,
 )
 
@@ -68,6 +68,23 @@ def test_recursion_char_fn_cross_check():
     f = sb.pmf_recursion(levy, 80)
     for u in (0.3, 1.0, 2.5, -1.7):
         assert abs(sb.char_fn(f, u) - sb.levy_char_fn(levy, u)) <= 1e-8
+
+
+def test_recursion_and_extraction_capped_before_allocating():
+    levy = sb.LevyRepr(2.0, 0.0, ((1.0, 1.0), (2.0, 0.5)))
+    with pytest.raises(SupportOverflow):
+        sb.pmf_recursion(levy, 100_000_000)
+    # an exact input is extracted to 2K + 10, past its last atom
+    with pytest.raises(SupportOverflow):
+        sb.extract_increment(sb.DiscreteDist(np.array([0.0, 1e7]), np.array([0.5, 0.5])))
+
+
+def test_recursion_jump_past_n_acts_only_through_the_origin():
+    # N1 + 1e12 N2: below 1e12 the law is Poisson(1) times P(N2 = 0) = e^-1e-12
+    levy = sb.LevyRepr(2.0, 0.0, ((1.0, 1.0), (1e12, 1e-12)))
+    f = sb.pmf_recursion(levy, 40)
+    want = poisson.pmf(np.arange(41), 1.0) * math.exp(-1e-12)
+    assert np.allclose(f.ps * (1.0 - f.tail_bound), want, rtol=1e-12, atol=0)
 
 
 def test_recursion_rejects_non_integer_jumps():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import sizebias as sb
-from sizebias.errors import DomainError, TruncationTooSevere
+from sizebias.errors import DomainError, QuadratureFailure, SupportOverflow, TruncationTooSevere
 
 RNG = np.random.default_rng(np.random.Philox(20240819))
 
@@ -162,6 +162,32 @@ def test_stieltjes_moments_match_lognormal():
         for n in range(5):
             want = math.exp(n * n * sigma ** 2 / 2)
             assert np.isclose(sb.stieltjes_moment(s, n), want, rtol=1e-6)
+
+
+def test_stieltjes_moments_follow_the_moving_peak():
+    # the integrand peaks at z = n sigma; a window fixed at [-10, 10] gave 0.47 e^50 at n = 10
+    s = sb.StieltjesDensity(1, 0.5, 1.0)
+    for n in range(21):
+        assert sb.stieltjes_moment(s, n) == pytest.approx(math.exp(n * n / 2), rel=1e-15), n
+    # up to the top of the double range; the phase 2 pi m z / sigma of the wiggle is
+    # rounded at ~1e-16 of its size, 942 at sigma = 0.7, n = 50, m = 3
+    for m, delta, sigma in [(1, 0.5, 1.0), (3, -0.9, 0.7), (2, 1.0, 2.5)]:
+        s = sb.StieltjesDensity(m, delta, sigma)
+        n = 0
+        while (n * sigma) ** 2 / 2 <= 700:
+            want = math.exp(n * n * sigma ** 2 / 2)
+            assert sb.stieltjes_moment(s, n) == pytest.approx(want, rel=1e-12), (sigma, n)
+            n += 1
+        # e^(n^2 sigma^2 / 2) past the double range
+        with pytest.raises(QuadratureFailure):
+            sb.stieltjes_moment(s, n + 1)
+
+
+def test_orbit_width_capped_before_allocating():
+    with pytest.raises(SupportOverflow):
+        sb.orbit_pmf(1.5, 2.0, M=10 ** 12)
+    with pytest.raises(SupportOverflow):
+        sb.berg_pmf(1, 2.0, M=10 ** 12)
 
 
 def test_stieltjes_delta_zero_is_lognormal():

@@ -170,6 +170,22 @@ def test_mixture_rule_random(seed, ncomp):
     assert sb.max_atom_gap(mixed, ref) <= 1e-10
 
 
+def test_truncation_bound_carried_through_sums_products_and_mixtures():
+    # tabulating a geometric drops ~2.3e-14 of tail mass; binomials drop none
+    g = sb.tabulate_named(sb.NamedDist("geometric", (0.3,)))
+    b = sb.tabulate_named(sb.NamedDist("binomial", (6.0, 0.4)))
+    t = g.tail_bound
+    assert t > 0 and b.tail_bound == 0
+    assert sb.convolve(g, g).tail_bound == 2 * t
+    assert sb.convolve(g, b).tail_bound == t
+    assert sb.product_pmf([b, g]).tail_bound == t
+    assert sb.mix([g, b], [0.25, 0.75]).tail_bound == 0.25 * t
+    assert sb.size_biased_sum_pmf(sb.IndependentSum((g, b, g))).tail_bound == 2 * t
+    # the transform reweights by the means, 7/3 and 2.4
+    assert sb.size_bias_mixture([g, b], [0.5, 0.5])[0].tail_bound == pytest.approx(
+        t * 35 / 71, rel=1e-12, abs=0)
+
+
 def test_mixture_rejects_zero_mean_component():
     z = sb.DiscreteDist.from_pairs([(0.0, 1.0)])
     d = sb.DiscreteDist.from_pairs([(1.0, 1.0)])
