@@ -27,44 +27,56 @@ NORMALIZER_PANELS = 10_000  # trapezoid panels for mixture_normalizer
 RECONSTRUCTION_POINTS = (0.5, 1.7, 4.0)  # where mixture_reconstruction_check compares
 
 
-def _check_ratio(c):
-    if c < MIN_RATIO:
-        raise DomainError(f"ratio c must be at least {MIN_RATIO}, got {c}")
+def _check_domain(c, b=1.0):
+    if not MIN_RATIO <= c < math.inf:
+        raise DomainError(f"ratio c must be finite and at least {MIN_RATIO}, got {c}")
+    if not np.all((b > 0) & (b < math.inf)):
+        raise DomainError(f"base must be positive and finite, got {b}")
 
 
-def theta_t(b: float, c: float) -> float:
+def _orbit_terms(lb, lc, M):
+    """b^-n c^(-n^2/2) for n = -M..M from lb = log b, lc = log c; one row per entry of lb."""
+    check_points(np.size(lb) * (2 * M + 1), f"orbit half-width {M}")
+    ns = np.arange(-M, M + 1)
+    return ns, np.exp(-ns * np.asarray(lb)[..., None] - 0.5 * ns.astype(float) ** 2 * lc)
+
+
+def _width(lb, lc, cut):
+    # smallest M whose edge terms, the larger exp(M lb - M^2 lc/2) at lb = |log b|, are below
+    # cut < 1: the first integer past the larger root of M^2 lc/2 - M lb + log(cut) = 0
+    return math.floor((lb + math.sqrt(lb * lb - 2 * lc * math.log(cut))) / lc) + 1
+
+
+def theta_t(b, c: float):
     """The normalizer t(b,c) = sum over all integers m of b^-m c^(-m^2/2).
 
-    Adaptive symmetric truncation: stops once the next term on both
-    sides is below 1e-16 of the partial sum.
+    b may be an array of bases; the result then has its shape.  The sum
+    runs out to the first m whose terms on both sides are below 1e-16.
     """
-    if b <= 0:
-        raise ValueError(f"base must be positive, got {b}")
-    _check_ratio(c)
-    lb, lc = math.log(b), math.log(c)
-    total = 1.0
-    m = 1
-    while True:
-        t_pos = math.exp(-m * lb - 0.5 * m * m * lc)
-        t_neg = math.exp(m * lb - 0.5 * m * m * lc)
-        total += t_pos + t_neg
-        if max(t_pos, t_neg) < 1e-16 * total:
-            return total
-        m += 1
-        if m > 100_000:
-            raise TruncationTooSevere("theta series refused to converge")
-
-
-def _orbit_terms(b, c, M):
-    check_points(2 * M + 1, f"orbit half-width {M}")
-    ns = np.arange(-M, M + 1)
-    return ns, np.exp(-ns * math.log(b) - 0.5 * ns.astype(float) ** 2 * math.log(c))
+    b = np.asarray(b, dtype=float)
+    _check_domain(c, b)
+    lb, lc = np.log(b), math.log(c)
+    # every omitted term is below 1e-16 and the n = 0 term is 1; Sum2 (Ogita, Rump and Oishi)
+    # adds back each step's rounding error, so the total is within an ulp whatever the width
+    _, terms = _orbit_terms(lb, lc, _width(float(np.max(np.abs(lb))), lc, 1e-16))
+    run = np.cumsum(terms, axis=-1)
+    step = run[..., 1:] - run[..., :-1]
+    lost = (run[..., :-1] - (run[..., 1:] - step)) + (terms[..., 1:] - step)
+    total = run[..., -1] + lost.sum(axis=-1)
+    if not np.all(np.isfinite(total)):
+        raise DomainError(f"theta sum past the double range at ratio {c}")
+    return float(total) if total.ndim == 0 else total
 
 
 def reduce_base(b: float, c: float) -> float:
     """Slide b into the canonical window [1, c) along its own orbit."""
-    n = math.floor(math.log(b) / math.log(c))
-    br = b * c ** (-n)
+    _check_domain(c, b)
+    lb, lc = math.log(b), math.log(c)
+    n = math.floor(lb / lc)
+    try:
+        br = b * c ** (-n)
+    except OverflowError:     # c^-n past the double range, b near 0
+        br = math.exp(lb - n * lc)
     if br < 1.0:       # guard the floating edge
         br *= c
     if br >= c:
@@ -73,14 +85,9 @@ def reduce_base(b: float, c: float) -> float:
 
 
 def auto_M(b: float, c: float) -> int:
-    """Smallest half-width keeping both edge masses below the cap."""
+    """Smallest half-width in 12, 16, 20, ... keeping both edge masses below the cap."""
     t = theta_t(b, c)
-    M = 12
-    lb, lc = math.log(b), math.log(c)
-    while max(math.exp(M * lb - 0.5 * M * M * lc),
-              math.exp(-M * lb - 0.5 * M * M * lc)) >= TRUNC_MASS * t:
-        M += 4
-    return M
+    return max(12, -(-_width(abs(math.log(b)), math.log(c), TRUNC_MASS * t) // 4) * 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +109,10 @@ class OrbitDist:
 
 def orbit_pmf(b: float, c: float, M: int | None = None) -> OrbitDist:
     """Construct the orbit law; b outside [1,c) is reduced first."""
-    _check_ratio(c)
     b = reduce_base(float(b), float(c))
     t = theta_t(b, c)
-    if M is None:
-        M = auto_M(b, c)
-    ns, terms = _orbit_terms(b, c, M)
+    M = auto_M(b, c) if M is None else M
+    ns, terms = _orbit_terms(math.log(b), math.log(c), M)
     if terms[0] / t >= TRUNC_MASS or terms[-1] / t >= TRUNC_MASS:
         raise TruncationTooSevere(f"edge mass at half-width {M} still above {TRUNC_MASS}")
     xs = b * c ** ns.astype(float)
@@ -126,21 +131,11 @@ def orbit_moment(o: OrbitDist, k: int) -> float:
     """
     val = float((o.xs ** k) @ o.masses)
     M1 = o.M + 1
-    edge = max(
-        (o.b * o.c ** M1) ** k * math.exp(-M1 * math.log(o.b) - 0.5 * M1 * M1 * math.log(o.c)),
-        (o.b * o.c ** -M1) ** k * math.exp(M1 * math.log(o.b) - 0.5 * M1 * M1 * math.log(o.c)),
-    ) / o.t
+    _, terms = _orbit_terms(math.log(o.b), math.log(o.c), M1)
+    edge = max((o.b * o.c ** M1) ** k * terms[-1], (o.b * o.c ** -M1) ** k * terms[0]) / o.t
     if edge > 1e-8 * abs(val):
         raise TruncationTooSevere(f"moment k={k} needs a wider orbit, edge term {edge:.2e}")
     return val
-
-
-def _geometric_ratio(xs):
-    ratios = xs[1:] / xs[:-1]
-    c = float(np.median(ratios))
-    if np.any(np.abs(ratios / c - 1.0) > 1e-9):
-        raise ValueError("support is not a geometric progression")
-    return c
 
 
 def orbit_size_bias_check(o, c: float | None = None) -> bool:
@@ -153,11 +148,12 @@ def orbit_size_bias_check(o, c: float | None = None) -> bool:
     """
     if isinstance(o, OrbitDist):
         xs, ps = o.xs, o.masses / o.masses.sum()
-        c = o.c
     else:
         xs, ps = o.xs, o.ps
         if c is None:
-            c = _geometric_ratio(xs)
+            ratios = xs[1:] / xs[:-1]
+            if np.any(np.abs(ratios / np.median(ratios) - 1.0) > 1e-9):
+                raise ValueError("support is not a geometric progression")
     mean = float(xs @ ps)
     star = xs * ps / mean
     # scaled law occupies slots 1.. plus one new slot past the top
@@ -172,13 +168,12 @@ def orbit_size_bias_check(o, c: float | None = None) -> bool:
 
 def lognormal_density(x, sigma2: float):
     """Density of e^Z with Z centered normal, variance sigma2."""
-    scalar = np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xa)
-    pos = xa > 0
+    xa = np.asarray(x, dtype=float)
+    xs = np.where(xa > 0, xa, 1.0)
     s = math.sqrt(sigma2)
-    out[pos] = np.exp(-np.log(xa[pos]) ** 2 / (2 * sigma2)) / (xa[pos] * s * math.sqrt(2 * math.pi))
-    return float(out[0]) if scalar else out
+    out = np.exp(-np.log(xs) ** 2 / (2 * sigma2)) / (xs * s * math.sqrt(2 * math.pi))
+    out = np.where(xa > 0, out, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -242,27 +237,24 @@ def mixture_normalizer(c: float) -> float:
 
     The telescoping of f(x c^n) against the theta terms folds the whole
     positive axis into one period, so the quadrature value doubles as an
-    accuracy check.
+    accuracy check.  In u = log x the integrand is the normal density
+    periodized over [0, log c), where the trapezoid rule converges geometrically.
     """
-    _check_ratio(c)
+    _check_domain(c)
     s2 = math.log(c)
-    xs = np.linspace(1.0, c, NORMALIZER_PANELS + 1)
-    ts = np.array([theta_t(x, c) for x in xs])
-    vals = lognormal_density(xs, s2) * ts
-    out = float(trapezoid(vals, xs))
+    us = np.linspace(0.0, s2, NORMALIZER_PANELS + 1)
+    vals = np.exp(-us * us / (2 * s2)) / math.sqrt(2 * math.pi * s2) * theta_t(np.exp(us), c)
+    out = float(trapezoid(vals, us))
     if not math.isfinite(out) or out <= 0:
         raise QuadratureFailure(f"normalizer quadrature returned {out}")
     return out
 
 
-def mixture_density_hc(c: float, b: float, k_c: float | None = None) -> float:
+def mixture_density_hc(c: float, b: float) -> float:
     """Density over the base b in [1, c) governing the orbit mixture."""
-    _check_ratio(c)
     if not 1.0 <= b < c:
-        raise ValueError(f"base {b} outside [1, {c})")
-    if k_c is None:
-        k_c = mixture_normalizer(c)
-    return lognormal_density(b, math.log(c)) * theta_t(b, c) / k_c
+        raise DomainError(f"base {b} outside [1, {c})")
+    return lognormal_density(b, math.log(c)) * theta_t(b, c) / mixture_normalizer(c)
 
 
 def mixture_reconstruction_check(c: float) -> float:
@@ -272,17 +264,14 @@ def mixture_reconstruction_check(c: float) -> float:
     [1, c).  The mixture density at x is h_c(b) times the orbit mass at
     slot n, divided by the Jacobian c^n of the slot map.
     """
-    k_c = mixture_normalizer(c)
+    _check_domain(c)
     s2 = math.log(c)
     worst = 0.0
     for x in RECONSTRUCTION_POINTS:
-        n = math.floor(math.log(x) / s2)
-        b = x * c ** (-n)
-        if b < 1.0:
-            b, n = b * c, n - 1
-        h = mixture_density_hc(c, b, k_c=k_c)
-        mass_n = math.exp(-n * math.log(b) - 0.5 * n * n * s2) / theta_t(b, c)
-        recon = h * mass_n / c ** n
+        b = reduce_base(x, c)
+        n = round(math.log(x / b) / s2)
+        _, terms = _orbit_terms(math.log(b), s2, abs(n))    # slot n sits at index n + |n|
+        recon = mixture_density_hc(c, b) * terms[n + abs(n)] / theta_t(b, c) / c ** n
         worst = max(worst, abs(recon - lognormal_density(x, s2)))
     return worst
 
@@ -297,11 +286,10 @@ def berg_pmf(s: int, c: float, M: int | None = None) -> DiscreteDist:
     """
     if s not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {s}")
-    _check_ratio(c)
+    _check_domain(c)
     b = math.sqrt(c)
-    if M is None:
-        M = auto_M(b, c)
-    ns, terms = _orbit_terms(b, c, M)
+    M = auto_M(b, c) if M is None else M
+    ns, terms = _orbit_terms(math.log(b), math.log(c), M)
     masses = (1.0 + s * (-1.0) ** ns) * terms
     xs = b * c ** ns.astype(float)
     return DiscreteDist(xs, masses / masses.sum())

@@ -396,7 +396,15 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                    for fam in ("poisson:2", "bernoulli:0.5", "binomial:10,0.3", "geometric:0.5",
                                "borel:0.5", "lognormal:0,2000")),
                  ["transform", "--dist", "lognormal:0,2000"],
-                 ["renewal", "--interarrival", "uniform01", "--n", "10", "--horizon", "1e12"])
+                 ["renewal", "--interarrival", "uniform01", "--n", "10", "--horizon", "1e12"],
+                 # bases and ratios that are not positive finite numbers
+                 ["orbit", "--b", "inf", "--c", "2"],
+                 ["orbit", "--b", "0", "--c", "2"],
+                 ["orbit", "--b", "nan", "--c", "2"],
+                 ["orbit", "--b", "1.5", "--c", "nan"],
+                 ["berg", "--sign", "1", "--c", "inf"],
+                 ["mixture-check", "--c", "nan"],
+                 ["mixture-check", "--c", "inf"])
     # tabulations and grids that would not fit in memory, or take minutes to fill
     unbounded = (["transform", "--dist", "geometric:1e-300"],
                  ["transform", "--dist", "geometric:1e-9"],
@@ -442,6 +450,17 @@ def test_former_crash_and_hang_argv_exit_cleanly():
     atoms = np.array(json.loads(p.stdout)["size_biased_sum"]["atoms"])
     assert atoms[:, 0].tolist() == list(range(1, 5001))
     assert atoms[:, 1] @ atoms[:, 0] == pytest.approx(2500.5, rel=1e-12)
+    # c^-n overflows reducing a subnormal base; 1e-320 = 2024 * 2^-1074 lands on 2024 / 1024
+    p = _fresh_python("-m", "sizebias.cli", "orbit", "--b", "1e-320", "--c", "2", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["b"] == pytest.approx(2024 / 1024, rel=1e-12)
+    # a reconstruction point on an orbit slot was reduced to b = c and refused
+    for c in ("1.0650410894399627", "1.0268865038818877", "1.0489642553230345"):
+        p = _fresh_python("-m", "sizebias.cli", "mixture-check", "--c", c, timeout=30)
+        assert p.returncode == 0, p.stderr
+        doc = json.loads(p.stdout)
+        assert doc["k_c"] == pytest.approx(1.0, abs=1e-14)
+        assert doc["max_reconstruction_gap"] < 1e-6
     # 1e9 coupling steps: closed forms, no loop and no overflow
     p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", "1", "--c", "1e-9",
                       "--x", "2", timeout=30)

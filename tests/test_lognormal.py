@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import trapezoid
 
 import sizebias as sb
-from sizebias.errors import DomainError, QuadratureFailure, SupportOverflow, TruncationTooSevere
+from sizebias.errors import (DomainError, QuadratureFailure, SizeBiasError, SupportOverflow,
+                             TruncationTooSevere)
 
 RNG = np.random.default_rng(np.random.Philox(20240819))
 
@@ -49,6 +50,75 @@ def test_theta_validation():
         sb.theta_t(-1.0, 2.0)
     with pytest.raises(DomainError):
         sb.theta_t(1.0, 1.005)
+    for b, c in [(0.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (1.5, math.inf), (1.5, math.nan),
+                 ([1.5, -1.0], 2.0)]:
+        with pytest.raises(DomainError):
+            sb.theta_t(b, c)
+    # the largest term, e^(log(b)^2 / (2 log c)), is past the double range
+    with pytest.raises(SizeBiasError), np.errstate(over="ignore", invalid="ignore"):
+        sb.theta_t(1e300, sb.lognormal.MIN_RATIO)
+
+
+def _random_bases(rng, n):
+    """(b, c) pairs: c down to MIN_RATIO, b mostly in [1, c) and a third up to 6 periods off."""
+    cs = np.exp(rng.uniform(math.log(sb.lognormal.MIN_RATIO), math.log(30.0), n))
+    cs[::4] = rng.uniform(sb.lognormal.MIN_RATIO, 1.05, cs[::4].size)
+    span = np.where(np.arange(n) % 3 == 0, 6.0, 1.0)
+    lb = rng.uniform(np.where(span > 1, -span, 0.0), span) * np.log(cs)
+    return list(zip(np.exp(lb).tolist(), cs.tolist()))
+
+
+def test_theta_against_mpmath_jtheta():
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for b, c in _random_bases(np.random.default_rng(31), 300):
+            want = mp.jtheta(3, 1j * mp.log(mp.mpf(b)) / 2, mp.mpf(c) ** -0.5).real
+            worst = max(worst, float(abs(sb.theta_t(b, c) / want - 1)))
+    # the rounding of each exponent -m log b - m^2 log(c)/2 sets the floor
+    assert worst <= 5e-14
+
+
+def test_theta_array_matches_scalar_calls():
+    # the array call sums every row out to the widest row's width
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        c = float(np.exp(rng.uniform(math.log(sb.lognormal.MIN_RATIO), math.log(30.0))))
+        bs = np.exp(rng.uniform(-4.0, 5.0, 25) * math.log(c))
+        got = sb.theta_t(bs, c)
+        want = np.array([sb.theta_t(float(b), c) for b in bs])
+        assert got.shape == bs.shape
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+    assert sb.theta_t(np.full((2, 3), 1.3), 2.0).shape == (2, 3)
+
+
+def _auto_M_loop(b, c):
+    """The width search auto_M replaced: step M = 12, 16, ... until both edges fall below the cut."""
+    t = sb.theta_t(b, c)
+    M = 12
+    lb, lc = math.log(b), math.log(c)
+    while max(math.exp(M * lb - 0.5 * M * M * lc),
+              math.exp(-M * lb - 0.5 * M * M * lc)) >= sb.lognormal.TRUNC_MASS * t:
+        M += 4
+    return M
+
+
+def test_auto_M_matches_the_loop():
+    for b, c in _random_bases(np.random.default_rng(33), 1200):
+        assert sb.lognormal.auto_M(b, c) == _auto_M_loop(b, c), (b, c)
+
+
+def test_reduce_base_edges():
+    for b, c in [(0.0, 2.0), (-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (1.5, math.inf),
+                 (1.5, math.nan), (1.5, 1.0)]:
+        with pytest.raises(DomainError):
+            sb.reduce_base(b, c)
+    # c^-n past the double range: 1e-320 = 2024 * 2^-1074 reduces to 2024 / 1024 at c = 2,
+    # and 1e-300 at c = 1e200 needs c^2; the reduction then goes through logs
+    assert sb.reduce_base(1e-320, 2.0) == pytest.approx(2024 / 1024, rel=1e-12)
+    assert sb.reduce_base(1e-300, 1e200) == pytest.approx(1e100, rel=1e-12)
+    assert sb.reduce_base(5e-324, 1.01) == pytest.approx(
+        math.exp(math.log(5e-324) % math.log(1.01)), rel=1e-9)
 
 
 # -------------------------------------------------------------------
@@ -219,6 +289,13 @@ def test_mixture_normalizer_is_one():
         assert np.isclose(sb.mixture_normalizer(c), 1.0, atol=1e-6)
 
 
+def test_mixture_normalizer_converges_geometrically_in_log_x():
+    # in u = log x the integrand is a periodized normal density over one full period;
+    # a linear trapezoid in x was off by 2.9e-10 at c = 1.5, 1e-2 at c = 1e4 and 5 at c = 1e6
+    for c in (1.01, 2.0, math.e, 10.0, 1e4, 1e6):
+        assert abs(sb.mixture_normalizer(c) - 1.0) <= 1e-14, c
+
+
 def test_mixture_density_validation():
     with pytest.raises(ValueError):
         sb.mixture_density_hc(2.0, 0.9)
@@ -229,3 +306,11 @@ def test_mixture_density_validation():
 def test_mixture_reconstruction():
     assert sb.mixture_reconstruction_check(math.e) < 1e-6
     assert sb.mixture_reconstruction_check(2.0) < 1e-6
+
+
+def test_mixture_reconstruction_where_a_point_sits_on_an_orbit_slot():
+    # 0.5, 1.7 and 4 are integer powers of these c; the slot search once landed on b = c
+    for c in (2 ** (1 / 11), 1.7 ** (1 / 20), 4 ** (1 / 29)):
+        assert sb.mixture_reconstruction_check(c) < 1e-12, c
+    with pytest.raises(DomainError):
+        sb.mixture_reconstruction_check(math.nan)
