@@ -9,7 +9,9 @@ two containers here, a finite atom list and a uniform-grid density.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .errors import (
     AtomPresent,
     NegativeMomentAtZero,
     NoClosedForm,
+    NoSampler,
     NonpositiveScale,
     NoSuccesses,
     SupportOverflow,
@@ -54,10 +57,20 @@ _STIRLERR = np.array([
 
 def stirlerr(k):
     """log k! - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1; tabulated to 15, series above."""
-    big = np.maximum(k, 16.0)
+    k = np.asarray(k, dtype=float)
+    small = k <= 15
+    out = np.empty(k.shape)
+    out[small] = _STIRLERR[k[small].astype(int)]
+    big = np.maximum(k[~small], 16.0)
     kk = big * big
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / big
-    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(int)], series)
+    out[~small] = series
+    return out
+
+
+def _pick(a, where):
+    """a at the mask's entries; a one-entry a is kept as one entry, which broadcasts."""
+    return a.reshape(1) if a.size == 1 else np.broadcast_to(a, where.shape)[where]
 
 
 def bd0(x, m):
@@ -67,27 +80,46 @@ def bd0(x, m):
     The closed form cancels up to 10x at |v| = 0.1, an error near 1e-16 (x + m) that masses
     feel from x + m ~ 1e4, so for 1e3 <= x + m < 1e5 the series runs to |v| = 0.5 (past 1e5,
     |v| >= 0.1 means masses below e^-900).  Where x + m overflows both are halved, and
-    log x - log m stands in for log(x/m) only where x/m underflows.
+    log x - log m stands in for log(x/m) only where x/m underflows.  Each form is evaluated
+    only on the entries that take it.
     """
-    x, m = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(m, dtype=float))
-    shape = x.shape
+    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    shape = np.broadcast_shapes(x.shape, m.shape)
+    x, m = np.atleast_1d(x, m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.where(np.isinf(x + m), 0.5, 1.0).ravel()
-        x, m = s * x.ravel(), s * m.ravel()
-        r = x / m
-        out = x * np.where(r < np.finfo(float).tiny, np.log(x) - np.log(m), np.log(r)) + m - x
-        near = np.abs(x - m) < np.where((1e3 <= x + m) & (x + m < 1e5), 0.5, 0.1) * (x + m)
-    xn, mn = x[near], m[near]
-    v = (xn - mn) / (xn + mn)
-    v2, total, term = v * v, (xn - mn) * v, 2 * xn * v
-    for j in range(1, 64):     # |v| < 0.5 converges by j = 30
-        term *= v2
-        nxt = total + term / (2 * j + 1)
-        if np.array_equal(nxt, total):     # the terms shrink: a settled entry stays put
-            break
-        total = nxt
-    out[near] = total
-    return (out / s).reshape(shape)
+        s = x + m
+        out = np.empty(s.shape)
+        halved = np.isinf(s)
+        if halved.any():
+            x, m = np.where(halved, 0.5 * x, x), np.where(halved, 0.5 * m, m)
+            s = x + m
+        reach = 0.1 * s
+        mid = (1e3 <= s) & (s < 1e5)
+        reach[mid] = 0.5 * s[mid]
+        near = np.abs(x - m) < reach
+        del s, reach, mid       # freed before the closed form's temporaries
+        far = ~near
+        if far.any():
+            xf, mf = _pick(x, far), _pick(m, far)
+            t = xf / mf
+            under = t < np.finfo(float).tiny
+            np.log(t, out=t)
+            if under.any():
+                t[under] = np.log(_pick(xf, under)) - np.log(_pick(mf, under))
+            out[far] = xf * t + mf - xf
+    if near.any():
+        xn, mn = _pick(x, near), _pick(m, near)
+        v = (xn - mn) / (xn + mn)
+        v2, total, term = v * v, (xn - mn) * v, 2 * xn * v
+        for j in range(1, 64):     # |v| < 0.5 converges by j = 30
+            term *= v2
+            nxt = total + term / (2 * j + 1)
+            if np.array_equal(nxt, total):     # the terms shrink: a settled entry stays put
+                break
+            total = nxt
+        out[near] = total
+    out[halved] *= 2.0
+    return out.reshape(shape)
 
 
 def _poisson_mass(k, mu):
@@ -100,7 +132,9 @@ def _poisson_mass(k, mu):
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) masses on 0..n as Poisson masses pi(k; np) pi(n - k; nq) / pi(n; n)."""
     ks = np.arange(n + 1.0)
-    return _poisson_mass(ks, n * p) * _poisson_mass(n - ks, n * (1 - p)) / _poisson_mass(n, n)
+    head = _poisson_mass(ks, n * p)
+    # ks is reused for n - k, one array fewer alive while the tail masses are built
+    return head * _poisson_mass(np.subtract(n, ks, out=ks), n * (1 - p)) / _poisson_mass(n, n)
 
 
 def poisson_reach(lam: float) -> int:
@@ -205,8 +239,9 @@ class DiscreteDist:
     def survival(self, t) -> float:
         return float(self.ps[self.xs > t].sum())
 
-    def sample(self, rng, n) -> np.ndarray:
-        return rng.choice(self.xs, size=n, p=self.ps / self.ps.sum())
+    def sample(self, rng, size) -> np.ndarray:
+        """Draws of the given shape."""
+        return rng.choice(self.xs, size=size, p=self.ps / self.ps.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,16 +290,60 @@ class GridDensity:
 # named families
 # ===================================================================
 
-_NAMED_KINDS = {
-    "poisson": 1, "bernoulli": 1, "binomial": 2, "geometric": 1,
-    "gamma": 1, "exponential": 0, "lognormal": 2, "uniform01": 0,
-    "borel": 1, "dirac": 1, "beta": 2,
+def _lognormal_mean(mu, sigma2):
+    try:
+        return math.exp(mu + sigma2 / 2)
+    except OverflowError:
+        return math.inf
+
+
+def _dirac_transform(c):
+    if c <= 0:
+        raise ZeroMean("point mass at 0 cannot be size biased")
+    return 0.0, "dirac", (c,)
+
+
+class _Family(NamedTuple):
+    params: tuple                      # parameter names
+    domain: str                        # the accepted parameters, as error messages quote them
+    ok: Callable                       # params -> inside the domain?
+    mean: Callable                     # params -> mean
+    transform: Callable | None = None  # params -> (shift, kind, params) of the size-biased law
+    sampler: Callable | None = None    # (rng, size, *params) -> draws of that shape
+
+
+# one row per family; tabulate_named and named_density keep the per-family numerics
+_FAMILIES = {
+    "poisson": _Family(("rate",), "rate > 0", lambda r: r > 0, lambda r: r,
+                       lambda r: (1.0, "poisson", (r,))),
+    "bernoulli": _Family(("p",), "0 < p <= 1", lambda p: 0 < p <= 1, lambda p: p,
+                         lambda p: (0.0, "dirac", (1.0,))),
+    "binomial": _Family(
+        ("n", "p"), "integer n >= 1, 0 < p <= 1",
+        lambda n, p: n >= 1 and n == int(n) and 0 < p <= 1, lambda n, p: n * p,
+        lambda n, p: (0.0, "dirac", (1.0,)) if n == 1 else (1.0, "binomial", (n - 1, p))),
+    "geometric": _Family(("p",), "0 < p <= 1", lambda p: 0 < p <= 1, lambda p: (1 - p) / p),
+    "gamma": _Family(("shape",), "shape > 0", lambda a: a > 0, lambda a: a,
+                     lambda a: (0.0, "gamma", (a + 1,)), lambda g, size, a: g.gamma(a, size=size)),
+    "exponential": _Family((), "none", lambda: True, lambda: 1.0, lambda: (0.0, "gamma", (2.0,)),
+                           lambda g, size: g.exponential(size=size)),
+    "lognormal": _Family(("mu", "sigma2"), "sigma2 > 0", lambda mu, s2: s2 > 0, _lognormal_mean,
+                         lambda mu, s2: (0.0, "lognormal", (mu + s2, s2)),
+                         lambda g, size, mu, s2: g.lognormal(mu, math.sqrt(s2), size=size)),
+    "uniform01": _Family((), "none", lambda: True, lambda: 0.5, lambda: (0.0, "beta", (2.0, 1.0)),
+                         lambda g, size: g.random(size=size)),
+    "borel": _Family(("rate",), "0 <= rate < 1", lambda r: 0 <= r < 1, lambda r: 1.0 / (1.0 - r)),
+    "dirac": _Family(("c",), "any c", lambda c: True, lambda c: c, _dirac_transform,
+                     lambda g, size, c: np.full(size, c)),
+    "beta": _Family(("a", "b"), "a > 0, b > 0", lambda a, b: a > 0 and b > 0,
+                    lambda a, b: a / (a + b), lambda a, b: (0.0, "beta", (a + 1, b)),
+                    lambda g, size, a, b: g.beta(a, b, size=size)),
 }
 
 
 @dataclass(frozen=True)
 class NamedDist:
-    """Tagged union over the standard families used throughout.
+    """Tagged union over the standard families in ``_FAMILIES``.
 
     kinds and params: poisson(rate), bernoulli(p), binomial(n, p),
     geometric(p) on {0,1,...}, gamma(shape), exponential(), lognormal(mu,
@@ -276,61 +355,26 @@ class NamedDist:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _NAMED_KINDS:
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family {self.kind!r}")
+        fam = _FAMILIES[self.kind]
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        if len(self.params) != _NAMED_KINDS[self.kind]:
-            raise ValueError(f"{self.kind} takes {_NAMED_KINDS[self.kind]} parameters")
-        if not all(math.isfinite(v) for v in self.params):
-            raise ValueError(f"{self.kind} parameters must be finite, got {self.params}")
-        k, p = self.kind, self.params
-        if k == "poisson" and p[0] <= 0:
-            raise ValueError("poisson rate must be > 0")
-        if k in ("bernoulli", "geometric") and not 0 < p[0] <= 1:
-            raise ValueError(f"{k} p must be in (0, 1]")
-        if k == "binomial":
-            if p[0] < 1 or p[0] != int(p[0]):
-                raise ValueError("binomial n must be an integer >= 1")
-            if not 0 < p[1] <= 1:
-                raise ValueError("binomial p must be in (0, 1]")
-        if k == "gamma" and p[0] <= 0:
-            raise ValueError("gamma shape must be > 0")
-        if k == "lognormal" and p[1] <= 0:
-            raise ValueError("lognormal sigma2 must be > 0")
-        if k == "borel" and not 0 <= p[0] < 1:
-            raise ValueError("borel rate must be in [0, 1)")
-        if k == "beta" and (p[0] <= 0 or p[1] <= 0):
-            raise ValueError("beta parameters must be > 0")
+        name = f"{self.kind}({', '.join(fam.params)})"
+        if len(self.params) != len(fam.params):
+            raise ValueError(f"{name} takes {len(fam.params)} parameters")
+        if not (all(math.isfinite(v) for v in self.params) and fam.ok(*self.params)):
+            raise ValueError(f"{name} needs finite parameters and {fam.domain}, got {self.params}")
+
+    def sample(self, rng, size) -> np.ndarray:
+        """Draws of the given shape; NoSampler, before any draw, for a family without one."""
+        draw = _FAMILIES[self.kind].sampler
+        if draw is None:
+            raise NoSampler(f"no sampler for family {self.kind}")
+        return draw(rng, size, *self.params)
 
 
 def named_mean(nd: NamedDist) -> float:
-    k, p = nd.kind, nd.params
-    if k == "poisson":
-        return p[0]
-    if k == "bernoulli":
-        return p[0]
-    if k == "binomial":
-        return p[0] * p[1]
-    if k == "geometric":
-        return (1 - p[0]) / p[0]
-    if k == "gamma":
-        return p[0]
-    if k == "exponential":
-        return 1.0
-    if k == "lognormal":
-        try:
-            return math.exp(p[0] + p[1] / 2)
-        except OverflowError:
-            return math.inf
-    if k == "uniform01":
-        return 0.5
-    if k == "borel":
-        return 1.0 / (1.0 - p[0])
-    if k == "dirac":
-        return p[0]
-    if k == "beta":
-        return p[0] / (p[0] + p[1])
-    raise AssertionError(k)
+    return _FAMILIES[nd.kind].mean(*nd.params)
 
 
 @dataclass(frozen=True)
@@ -347,32 +391,11 @@ def closed_form_size_bias(nd: NamedDist) -> ShiftedNamed:
     Raises NoClosedForm for families without a clean answer (borel,
     geometric); those go through the tabulated numeric path instead.
     """
-    k, p = nd.kind, nd.params
-    if k == "poisson":
-        return ShiftedNamed(1.0, nd)
-    if k == "bernoulli":
-        return ShiftedNamed(0.0, NamedDist("dirac", (1.0,)))
-    if k == "binomial":
-        n, q = p
-        if n == 1:
-            return ShiftedNamed(0.0, NamedDist("dirac", (1.0,)))
-        return ShiftedNamed(1.0, NamedDist("binomial", (n - 1, q)))
-    if k == "exponential":
-        return ShiftedNamed(0.0, NamedDist("gamma", (2.0,)))
-    if k == "gamma":
-        return ShiftedNamed(0.0, NamedDist("gamma", (p[0] + 1,)))
-    if k == "lognormal":
-        mu, s2 = p
-        return ShiftedNamed(0.0, NamedDist("lognormal", (mu + s2, s2)))
-    if k == "uniform01":
-        return ShiftedNamed(0.0, NamedDist("beta", (2.0, 1.0)))
-    if k == "dirac":
-        if p[0] <= 0:
-            raise ZeroMean("point mass at 0 cannot be size biased")
-        return ShiftedNamed(0.0, nd)
-    if k == "beta":
-        return ShiftedNamed(0.0, NamedDist("beta", (p[0] + 1, p[1])))
-    raise NoClosedForm(f"no closed-form transform for {k}")
+    transform = _FAMILIES[nd.kind].transform
+    if transform is None:
+        raise NoClosedForm(f"no closed-form transform for {nd.kind}")
+    shift, kind, params = transform(*nd.params)
+    return ShiftedNamed(shift, NamedDist(kind, params))
 
 
 def tabulate_named(nd: NamedDist) -> DiscreteDist:

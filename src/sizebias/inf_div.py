@@ -21,6 +21,7 @@ from .errors import (
     GapInSupport,
     GridTooCoarse,
     NonIntegerJump,
+    SupportOverflow,
     TruncationTooSevere,
     ZeroAtOrigin,
     ZeroMean,
@@ -29,6 +30,14 @@ from .errors import (
 
 NEG_MASS_TOL = 1e-9        # extracted mass below -this means "not divisible"
 EXAMINE_TAIL = 1e-6        # skip indices once this little input mass remains
+RECURSION_WORK_CAP = 2_000_000_000  # recursions past this many multiply-adds are refused
+
+
+def _check_work(n, what: str) -> None:
+    """Refuse, before allocating, a recursion to index n: its n(n+1)/2 multiply-adds."""
+    work = n * (n + 1) / 2
+    if not work <= RECURSION_WORK_CAP:
+        raise SupportOverflow(f"{what} needs {work:.4g} multiply-adds, over {RECURSION_WORK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,7 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
             raise NonIntegerJump(f"jump size {y} is not a positive integer")
         ys.append(int(round(y)))
     check_points(N + 1, f"compound-Poisson pmf on 0..{N}")
+    _check_work(N, f"compound-Poisson pmf on 0..{N}")
     # a jump past N cannot reach 0..N; it acts only through f(0)
     fy = np.zeros(N + 1)
     for (y, r), k in zip(levy.jumps, ys):
@@ -147,6 +157,7 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     K = int(ks[-1])
     kmax = 2 * K + 10 if exact else K
     check_points(kmax + 1, f"increment extraction to {kmax}")
+    _check_work(kmax, f"increment extraction to {kmax}")
     f = np.zeros(kmax + 1)
     f[ks] = fX.ps
     if f[0] <= 0:

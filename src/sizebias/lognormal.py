@@ -23,7 +23,7 @@ MIN_RATIO = 1.01           # c below this makes the theta series impractical
 TRUNC_MASS = 1e-14         # edge orbit mass allowed at truncation width M
 FIXED_POINT_TOL = 1e-10    # orbit_size_bias_check: largest mass gap still a fixed point
 STIELTJES_PANELS = 100_000  # trapezoid panels for stieltjes_moment
-NORMALIZER_PANELS = 10_000  # trapezoid panels for mixture_normalizer
+NORMALIZER_PANELS = 200    # trapezoid panels for mixture_normalizer
 RECONSTRUCTION_POINTS = (0.5, 1.7, 4.0)  # where mixture_reconstruction_check compares
 
 
@@ -262,16 +262,20 @@ def mixture_reconstruction_check(c: float) -> float:
 
     Every x > 0 belongs to exactly one orbit slot: x = b c^n with b in
     [1, c).  The mixture density at x is h_c(b) times the orbit mass at
-    slot n, divided by the Jacobian c^n of the slot map.
+    slot n, divided by the Jacobian c^n of the slot map; the theta sums
+    cancel, leaving f(b) b^-n c^(-n^2/2 - n) / k_c.  That product is taken
+    in logs, since f(b) underflows at large c before c^-n scales it back.
     """
     _check_domain(c)
     s2 = math.log(c)
+    k_c = mixture_normalizer(c)
     worst = 0.0
     for x in RECONSTRUCTION_POINTS:
         b = reduce_base(x, c)
+        lb = math.log(b)
         n = round(math.log(x / b) / s2)
-        _, terms = _orbit_terms(math.log(b), s2, abs(n))    # slot n sits at index n + |n|
-        recon = mixture_density_hc(c, b) * terms[n + abs(n)] / theta_t(b, c) / c ** n
+        log_fb = -lb * lb / (2 * s2) - lb - 0.5 * math.log(2 * math.pi * s2)
+        recon = math.exp(log_fb - n * lb - (n * n / 2 + n) * s2) / k_c
         worst = max(worst, abs(recon - lognormal_density(x, s2)))
     return worst
 

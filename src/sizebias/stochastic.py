@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import (DiscreteDist, NamedDist, closed_form_size_bias, merge_atoms, named_mean,
-                        size_bias_discrete)
+from .dist_core import (_FAMILIES, DiscreteDist, NamedDist, closed_form_size_bias, merge_atoms,
+                        named_mean, size_bias_discrete)
 from .errors import (ConstantInput, DomainError, HorizonTooShort, NonzeroMean, NoSampler,
                      SupportOverflow, ZeroMean)
 
@@ -27,25 +27,13 @@ ARRIVAL_CELL_CAP = 100_000_000  # arrival buffers past this many cells are refus
 # interarrival sampling helpers
 # ===================================================================
 
-# family -> draw(rng, size, *params): the families a renewal stream can
-# run on; where one has a closed-form transform, that lands here again
-_SAMPLERS = {
-    "exponential": lambda rng, size: rng.exponential(size=size),
-    "gamma": lambda rng, size, a: rng.gamma(a, size=size),
-    "dirac": lambda rng, size, c: np.full(size, c),
-    "uniform01": lambda rng, size: rng.random(size=size),
-    "lognormal": lambda rng, size, mu, s2: rng.lognormal(mu, math.sqrt(s2), size=size),
-    "beta": lambda rng, size, a, b: rng.beta(a, b, size=size),
-}
-
-
 def _interarrival_mean(dist) -> float:
     if isinstance(dist, DiscreteDist):
         if dist.xs[0] <= 0:
             raise ValueError("interarrival support must be strictly positive")
         mean = dist.mean()
     elif isinstance(dist, NamedDist):
-        if dist.kind not in _SAMPLERS:
+        if _FAMILIES[dist.kind].sampler is None:
             raise NoSampler(f"no interarrival sampler for family {dist.kind}")
         mean = named_mean(dist)
     else:
@@ -53,12 +41,6 @@ def _interarrival_mean(dist) -> float:
     if not (math.isfinite(mean) and mean > 0):
         raise ZeroMean(f"interarrival mean must be positive and finite, got {mean}")
     return mean
-
-
-def _draw(dist, rng, size):
-    if isinstance(dist, DiscreteDist):
-        return dist.sample(rng, int(np.prod(size))).reshape(size)
-    return _SAMPLERS[dist.kind](rng, size, *dist.params)
 
 
 def _cum_arrivals(dist, rng, n, span, lead=None):
@@ -74,13 +56,13 @@ def _cum_arrivals(dist, rng, n, span, lead=None):
         raise SupportOverflow(f"{n} streams to {span:.4g} need about {n * k0:.3g} arrival "
                               f"cells, over {ARRIVAL_CELL_CAP}")
     k0 = int(k0)
-    gaps = _draw(dist, rng, (n, k0))
+    gaps = dist.sample(rng, (n, k0))
     if lead is not None:
         gaps[:, 0] = lead
     cum = np.cumsum(gaps, axis=1)
     while cum[:, -1].min() <= span:
         short = cum[:, -1] <= span
-        extra = _draw(dist, rng, (int(short.sum()), k0))
+        extra = dist.sample(rng, (int(short.sum()), k0))
         add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
         cum = np.hstack([cum, np.full((n, k0), np.inf)])
         cum[short, -k0:] = add
@@ -131,10 +113,10 @@ def sample_stationary_phase(interarrival, n: int, rng) -> np.ndarray:
     """First-arrival times U * X* that make the renewal stream stationary."""
     _interarrival_mean(interarrival)    # refuses laws no stream can run on
     if isinstance(interarrival, DiscreteDist):
-        star = _draw(size_bias_discrete(interarrival), rng, n)
+        star = size_bias_discrete(interarrival).sample(rng, n)
     else:
         cf = closed_form_size_bias(interarrival)
-        star = cf.shift + _draw(cf.base, rng, n)
+        star = cf.shift + cf.base.sample(rng, n)
     return rng.random(n) * star
 
 

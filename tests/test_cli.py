@@ -415,6 +415,8 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                  ["dickman", "--a", "1", "--h", "1e-9"],
                  ["buchstab", "--a", "1", "--b", "0.5", "--xmax", "1e12"],
                  ["compound-poisson", "--a", "2", "--increment", "atoms:1=1", "--n", "100000000"],
+                 ["compound-poisson", "--a", "2", "--increment", "atoms:1=0.5,2=0.5",
+                  "--n", "9999999"],
                  ["stieltjes", "--kmax", "1000000000"],
                  ["stieltjes", "--kmax", "40"],
                  ["orbit", "--b", "1.5", "--c", "2", "--half-width", "1000000000000"],
@@ -461,6 +463,10 @@ def test_former_crash_and_hang_argv_exit_cleanly():
         doc = json.loads(p.stdout)
         assert doc["k_c"] == pytest.approx(1.0, abs=1e-14)
         assert doc["max_reconstruction_gap"] < 1e-6
+    # f(b) at b ~ c/2 underflowed before the slot Jacobian scaled it back: a gap of 0.03
+    p = _fresh_python("-m", "sizebias.cli", "mixture-check", "--c", "1e300", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["max_reconstruction_gap"] < 1e-12
     # 1e9 coupling steps: closed forms, no loop and no overflow
     p = _fresh_python("-m", "sizebias.cli", "concentration", "--a", "1", "--c", "1e-9",
                       "--x", "2", timeout=30)

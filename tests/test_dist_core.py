@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sizebias as sb
 from sizebias.dist_core import binom_pmf, merge_atoms, poisson_pmf, poisson_reach, trapezoid
 from sizebias.errors import (
-    AtomAtZero, NegativeMomentAtZero, NoClosedForm, NonpositiveScale,
+    AtomAtZero, NegativeMomentAtZero, NoClosedForm, NonpositiveScale, NoSampler,
     NoSuccesses, SupportOverflow, ZeroMean,
 )
 
@@ -213,6 +213,37 @@ def test_geometric_tabulation():
     ks = np.arange(5)
     assert np.allclose(d.ps[:5], 0.4 * 0.6 ** ks, rtol=1e-12)
     assert np.isclose(d.mean(), 0.6 / 0.4, atol=1e-9)
+
+
+def test_closed_form_matches_numeric_density():
+    # the numeric transform of the tabulated density lands on the closed-form family
+    for kind, params, shift, _, _ in CLOSED_FORMS:
+        if kind in ("poisson", "bernoulli", "binomial", "dirac"):
+            continue
+        nd = sb.NamedDist(kind, params)
+        star = sb.size_bias_density(sb.named_density(nd))
+        ref = sb.named_density(sb.closed_form_size_bias(nd).base)
+        n = min(star.values.size, ref.values.size)
+        assert shift == 0.0 and star.h == ref.h
+        assert np.abs(star.values[:n] - ref.values[:n]).max() <= 1e-9, kind
+
+
+def test_sampler_means():
+    rng = np.random.default_rng(3)
+    sampled = set()
+    for kind, params, *_ in CLOSED_FORMS + [("geometric", (0.4,), None), ("borel", (0.3,), None)]:
+        nd = sb.NamedDist(kind, params)
+        state = rng.bit_generator.state
+        try:
+            x = nd.sample(rng, (100, 200))
+        except NoSampler:
+            assert rng.bit_generator.state == state, kind
+            continue
+        sampled.add(kind)
+        assert x.shape == (100, 200)
+        se = x.std() / math.sqrt(x.size)
+        assert abs(x.mean() - sb.named_mean(nd)) <= 5 * se, kind
+    assert sampled == {"exponential", "gamma", "lognormal", "uniform01", "dirac", "beta"}
 
 
 def test_named_mean_table():
@@ -527,3 +558,82 @@ def test_binom_pmf_total_mass_is_one():
             assert abs(math.fsum(binom_pmf(n, p)) - 1.0) <= 1e-14, (n, p)
     d = sb.tabulate_named(sb.NamedDist("binomial", (5000, 0.5)))
     assert d.mean() == pytest.approx(2500.0, rel=1e-13)
+
+
+# the elementwise bd0 and stirlerr that evaluated every branch over every entry,
+# kept to be matched bit for bit
+def _ref_stirlerr(k):
+    from sizebias.dist_core import _STIRLERR
+    big = np.maximum(k, 16.0)
+    kk = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / big
+    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(int)], series)
+
+
+def _ref_bd0(x, m):
+    x, m = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(m, dtype=float))
+    shape = x.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.where(np.isinf(x + m), 0.5, 1.0).ravel()
+        x, m = s * x.ravel(), s * m.ravel()
+        r = x / m
+        out = x * np.where(r < np.finfo(float).tiny, np.log(x) - np.log(m), np.log(r)) + m - x
+        near = np.abs(x - m) < np.where((1e3 <= x + m) & (x + m < 1e5), 0.5, 0.1) * (x + m)
+    xn, mn = x[near], m[near]
+    v = (xn - mn) / (xn + mn)
+    v2, total, term = v * v, (xn - mn) * v, 2 * xn * v
+    for j in range(1, 64):
+        term *= v2
+        nxt = total + term / (2 * j + 1)
+        if np.array_equal(nxt, total):
+            break
+        total = nxt
+    out[near] = total
+    return (out / s).reshape(shape)
+
+
+def _ref_poisson_mass(k, mu):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.exp(-_ref_stirlerr(k) - _ref_bd0(k, mu)) / np.sqrt(2 * math.pi * k)
+    return np.where(k == 0, np.exp(-mu), mass)
+
+
+def test_masses_match_the_every_branch_reference_bit_for_bit():
+    from sizebias.dist_core import _poisson_mass, bd0, stirlerr
+    for n in (1, 10, 777, 1000, 10 ** 5):
+        for p in (0.01, 0.3, 0.5, 1.0):
+            ks = np.arange(n + 1.0)
+            want = (_ref_poisson_mass(ks, n * p) * _ref_poisson_mass(n - ks, n * (1 - p))
+                    / _ref_poisson_mass(n, n))
+            assert np.array_equal(binom_pmf(n, p), want), (n, p)
+    for lam in (1e-3, 0.3, 7.5, 150.0, 999.0, 2e4, 1e6):
+        ks = np.arange(3 * poisson_reach(lam) + 1.0)
+        assert np.array_equal(poisson_pmf(lam, ks[-1]), _ref_poisson_mass(ks, lam)), lam
+    for lam in (0.05, 0.5, 0.8):
+        ks = np.arange(1.0, 2001)
+        assert np.array_equal(_poisson_mass(ks, lam * ks), _ref_poisson_mass(ks, lam * ks)), lam
+    rng = np.random.default_rng(3)
+    x = np.concatenate([10 ** rng.uniform(-310, 308, 2000), rng.uniform(0, 2e5, 2000),
+                        [0.0, 1e308, 1.7e308, 5e-324, 3.0]])
+    m = np.concatenate([10 ** rng.uniform(-310, 308, 2000), rng.uniform(0, 2e5, 2000),
+                        [1.0, 1.2e308, 1.7e308, 1e300, 3.0]])
+    with np.errstate(over="ignore"):
+        for a, b in ((x, m), (x, 7.5), (7.5, m), (1e308, 1.2e308), (1e-300, 1e300), (4.0, 8.0)):
+            assert np.array_equal(bd0(a, b), _ref_bd0(a, b), equal_nan=True)
+            assert np.shape(bd0(a, b)) == np.shape(_ref_bd0(a, b))
+    ks = np.concatenate([np.arange(0.0, 100), rng.integers(0, 10 ** 9, 1000).astype(float)])
+    assert np.array_equal(stirlerr(ks), _ref_stirlerr(ks))
+    assert np.shape(stirlerr(17)) == ()
+
+
+def test_binom_pmf_memory():
+    # the every-branch bd0 and stirlerr held twelve arrays of n + 1 doubles at once
+    import tracemalloc
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        binom_pmf(n, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 8 * (n + 1)

@@ -79,6 +79,20 @@ def test_recursion_and_extraction_capped_before_allocating():
         sb.extract_increment(sb.DiscreteDist(np.array([0.0, 1e7]), np.array([0.5, 0.5])))
 
 
+def test_recursion_and_extraction_work_capped_before_allocating():
+    from sizebias.inf_div import RECURSION_WORK_CAP
+    # inside the point cap, but N(N+1)/2 multiply-adds would run for hours
+    levy = sb.LevyRepr(2.0, 0.0, ((1.0, 1.0), (2.0, 0.5)))
+    with pytest.raises(SupportOverflow):
+        sb.pmf_recursion(levy, 9_999_999)
+    # an exact input with its last atom at 40,000 is extracted to 80,010
+    with pytest.raises(SupportOverflow):
+        sb.extract_increment(sb.DiscreteDist(np.array([0.0, 4e4]), np.array([0.5, 0.5])))
+    assert sb.pmf_recursion(levy, 16_000).ps.size == 16_001
+    # a 26,000-mass id-test --pmf, extracted to 52,010, stays under
+    assert (2 * 26_000 + 10) * (2 * 26_000 + 11) / 2 <= RECURSION_WORK_CAP
+
+
 def test_recursion_jump_past_n_acts_only_through_the_origin():
     # N1 + 1e12 N2: below 1e12 the law is Poisson(1) times P(N2 = 0) = e^-1e-12
     levy = sb.LevyRepr(2.0, 0.0, ((1.0, 1.0), (1e12, 1e-12)))
