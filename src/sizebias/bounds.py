@@ -102,8 +102,9 @@ def binomial_poisson_check(n: int, p: float):
 # ===================================================================
 
 def _tight(a, c, x):
-    # (a/x)^(x/c) e^((x-a)/c) = exp(-bd0(x, a)/c), which cannot overflow
-    return math.exp(-float(bd0(x, a)) / c)
+    # (a/x)^(x/c) e^((x-a)/c) = exp(-bd0(x, a)/c), which cannot overflow; bd0's error is
+    # the bound's, so the series runs to |v| = 0.5 at every size below 1e5
+    return math.exp(-float(bd0(x, a, series_floor=0.0)) / c)
 
 
 def _gaussian(d, c, m):

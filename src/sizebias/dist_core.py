@@ -58,14 +58,20 @@ _STIRLERR = np.array([
 def stirlerr(k):
     """log k! - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1; tabulated to 15, series above."""
     k = np.asarray(k, dtype=float)
-    small = k <= 15
-    out = np.empty(k.shape)
-    out[small] = _STIRLERR[k[small].astype(int)]
-    big = np.maximum(k[~small], 16.0)
+    shape = k.shape
+    k = np.atleast_1d(k)
+    big = np.maximum(k, 16.0)
     kk = big * big
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / big
-    out[~small] = series
-    return out
+    # (1/12 - (1/360 - (1/1260 - (1/1680 - 1/1188/kk)/kk)/kk)/kk)/big, in place
+    out = np.divide(1 / 1188, kk)
+    for c in (1 / 1680, 1 / 1260, 1 / 360):
+        np.subtract(c, out, out=out)
+        out /= kk
+    np.subtract(1 / 12, out, out=out)
+    out /= big
+    small = k <= 15
+    out[small] = _STIRLERR[k[small].astype(int)]
+    return out.reshape(shape)
 
 
 def _pick(a, where):
@@ -73,40 +79,42 @@ def _pick(a, where):
     return a.reshape(1) if a.size == 1 else np.broadcast_to(a, where.shape)[where]
 
 
-def bd0(x, m):
+def bd0(x, m, series_floor=1e3):
     """x log(x/m) + m - x for x, m > 0, elementwise, as in Loader (2000), "Fast and accurate
     computation of binomial probabilities": near x = m a series in v = (x - m)/(x + m).
 
     The closed form cancels up to 10x at |v| = 0.1, an error near 1e-16 (x + m) that masses
-    feel from x + m ~ 1e4, so for 1e3 <= x + m < 1e5 the series runs to |v| = 0.5 (past 1e5,
-    |v| >= 0.1 means masses below e^-900).  Where x + m overflows both are halved, and
-    log x - log m stands in for log(x/m) only where x/m underflows.  Each form is evaluated
-    only on the entries that take it.
+    feel from x + m ~ 1e4, so for series_floor <= x + m < 1e5 the series runs to |v| = 0.5
+    (past 1e5, |v| >= 0.1 means masses below e^-900).  Below 1e3 a mass's other roundings
+    are as large, so masses keep the closed form there; a bound that is exp of bd0 alone
+    passes series_floor = 0.  Where x + m overflows both are halved, and log x - log m
+    stands in for log(x/m) only where x/m underflows.  The closed form is evaluated in
+    place over every entry, the series only on the entries that take it.
     """
     x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
     shape = np.broadcast_shapes(x.shape, m.shape)
     x, m = np.atleast_1d(x, m)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = x + m
-        out = np.empty(s.shape)
-        halved = np.isinf(s)
+        reach = x + m
+        halved = np.isinf(reach)
         if halved.any():
             x, m = np.where(halved, 0.5 * x, x), np.where(halved, 0.5 * m, m)
-            s = x + m
-        reach = 0.1 * s
-        mid = (1e3 <= s) & (s < 1e5)
-        reach[mid] = 0.5 * s[mid]
-        near = np.abs(x - m) < reach
-        del s, reach, mid       # freed before the closed form's temporaries
-        far = ~near
-        if far.any():
-            xf, mf = _pick(x, far), _pick(m, far)
-            t = xf / mf
-            under = t < np.finfo(float).tiny
-            np.log(t, out=t)
-            if under.any():
-                t[under] = np.log(_pick(xf, under)) - np.log(_pick(mf, under))
-            out[far] = xf * t + mf - xf
+            reach = x + m
+        mid = (series_floor <= reach) & (reach < 1e5)
+        wide = 0.5 * reach[mid]
+        reach *= 0.1
+        reach[mid] = wide
+        gap = x - m
+        near = np.abs(gap, out=gap) < reach
+        del reach, gap, mid, wide       # freed before the closed form
+        out = x / m
+        under = out < np.finfo(float).tiny
+        np.log(out, out=out)
+        if under.any():
+            out[under] = np.log(_pick(x, under)) - np.log(_pick(m, under))
+        out *= x
+        out += m
+        out -= x
     if near.any():
         xn, mn = _pick(x, near), _pick(m, near)
         v = (xn - mn) / (xn + mn)
@@ -162,9 +170,16 @@ def merge_atoms(xs, ps):
 
     An atom sits at the first point of its cluster and takes every later
     point within the tolerance of that first point; masses add in sorted order.
+    Integer points that span fewer sites than there are points skip the sort.
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
+    if xs.size:
+        lo = xs.min()
+        with np.errstate(invalid="ignore"):
+            span = xs.max() - lo      # NaN or inf when a point is not finite
+        if span < xs.size and np.array_equal(xs, np.rint(xs)):
+            return _merge_lattice(xs, ps, lo, int(span))
     order = np.argsort(xs, kind="stable")
     xs, ps = xs[order], ps[order]
     # inf - inf is NaN here; callers refuse non-finite supports afterwards
@@ -182,6 +197,21 @@ def merge_atoms(xs, ps):
             opened = i
     # bincount adds in input order, as a running total does
     return xs[new], np.bincount(np.cumsum(new) - 1, weights=ps)
+
+
+def _merge_lattice(xs, ps, lo, span):
+    """merge_atoms on integer points: one bin per site, with the sort path's bits.
+
+    Distinct integers are at least 1 apart, so each site is one atom.  A bin
+    adds its masses in input order, as a stable sort does; a site holding only
+    zero masses is kept; the zero site keeps the sign of its first point.
+    """
+    site = (xs - lo).astype(np.intp)
+    occupied = np.flatnonzero(np.bincount(site, minlength=span + 1))
+    points = lo + occupied
+    if lo <= 0.0 <= lo + span:
+        points[points == 0.0] = xs[np.argmax(xs == 0.0)]
+    return points, np.bincount(site, weights=ps, minlength=span + 1)[occupied]
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ from .errors import (
 NEG_MASS_TOL = 1e-9        # extracted mass below -this means "not divisible"
 EXAMINE_TAIL = 1e-6        # skip indices once this little input mass remains
 RECURSION_WORK_CAP = 2_000_000_000  # recursions past this many multiply-adds are refused
+SERIES_KMAX = 256          # extractions to at least this index divide power series by FFT
 
 
 def _check_work(n, what: str) -> None:
@@ -165,20 +166,20 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     a = fX.mean()
     if a <= 0:
         raise ZeroMean("mean must be positive")
-    fy = np.zeros(kmax + 1)
-    for m in range(kmax):
-        inner = float(f[1 : m + 1] @ fy[m : 0 : -1])
-        fy[m + 1] = ((m + 1) * f[m + 1] / a - inner) / f[0]
+    # F Y/s = F'/a, F the pgf of fX (Katti 1967); rhs holds F'/a
+    rhs = np.arange(1, kmax + 1) * f[1:] / a
+    fy = _series_quotient(f, rhs) if kmax >= SERIES_KMAX else None
+    if fy is None:
+        fy = _katti_loop(f, rhs)
     if exact:
         examined = np.arange(1, kmax + 1)
     else:
         below = np.cumsum(f)      # below[k] = mass at or under k
-        examined = np.array([k for k in range(1, K + 1)
-                             if below[k - 1] < 1 - EXAMINE_TAIL], dtype=int)
+        examined = np.flatnonzero(below[:K] < 1 - EXAMINE_TAIL) + 1
         if examined.size == 0:
-            examined = np.array([1], dtype=int)
-    bad = [k for k in examined if fy[k] < -NEG_MASS_TOL]
-    if bad:
+            examined = np.array([1])
+    bad = examined[fy[examined] < -NEG_MASS_TOL]
+    if bad.size:
         k0 = bad[0]
         return IdTestResult(False, a, None, k0, float(fy[k0]), fy, examined)
     # verdict settled on the examined window; the increment itself may
@@ -192,6 +193,52 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     masses = np.clip(fy[idx], 0.0, None)
     inc = DiscreteDist(idx.astype(float), masses / masses.sum())
     return IdTestResult(True, a, inc, None, None, fy, examined)
+
+
+def _katti_loop(f, rhs):
+    """fy with fy[m + 1] = (rhs[m] - sum of f[i] fy[m + 1 - i]) / f[0], term by term."""
+    fy = np.zeros(rhs.size + 1)
+    for m in range(rhs.size):
+        inner = float(f[1 : m + 1] @ fy[m : 0 : -1])
+        fy[m + 1] = (rhs[m] - inner) / f[0]
+    return fy
+
+
+def _series_product(a, b, n):
+    """First n coefficients of the product of two power series, by FFT."""
+    size = 1 << (a.size + b.size - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
+def _series_inverse(f, n):
+    """First n coefficients of 1/F by Newton's iteration g <- g + g (1 - F g)."""
+    g = np.array([1.0 / f[0]])
+    while g.size < n:
+        k, m = g.size, min(2 * g.size, n)
+        err = _series_product(f[:m], g, m)[k:]      # F g = 1 + s^k err
+        g = np.concatenate([g, -_series_product(g, err, m - k)])
+    return g
+
+
+def _series_quotient(f, rhs):
+    """_katti_loop's fy in O(kmax log kmax), or None where FFT accuracy is not enough.
+
+    FFT products carry an absolute error of about eps times the largest
+    coefficient of 1/F, which grows like e^(2 total rate), so the quotient
+    is refined against its residual rhs - F q.  A correction must fall
+    below NEG_MASS_TOL / 1000 within three steps; one that does not, or is
+    not finite, leaves the input to the loop.
+    """
+    n = rhs.size
+    with np.errstate(all="ignore"):
+        g = _series_inverse(f, n)
+        q = _series_product(rhs, g, n)
+        for _ in range(3):
+            step = _series_product(g, rhs - _series_product(f[:n], q, n), n)
+            q += step
+            if np.abs(step).max() <= NEG_MASS_TOL / 1000:
+                return np.concatenate([[0.0], q])
+    return None
 
 
 def log_convexity_check(fX: DiscreteDist) -> bool:

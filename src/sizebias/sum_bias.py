@@ -80,9 +80,17 @@ def size_biased_sum_pmf(s: IndependentSum) -> DiscreteDist:
     which term i alone is replaced by its size-biased law.  Equals the
     direct transform of the full convolution; tests hold it to that
     oracle atom by atom.
+
+    Piece i convolves the prefix t_1 + ... + t_{i-1}, shared between pieces,
+    with t_i*, then with t_{i+1}, ...: convolve_all's own order, so its bits.
     """
-    pieces = [convolve_all(s.terms[:i] + (size_bias_discrete(t),) + s.terms[i + 1:])
-              for i, t in enumerate(s.terms)]
+    pieces, prefix = [], None
+    for i, t in enumerate(s.terms):
+        star = size_bias_discrete(t)
+        head = star if prefix is None else convolve(prefix, star)
+        pieces.append(convolve_all((head,) + s.terms[i + 1:]))
+        if i + 1 < len(s.terms):      # no prefix past the last term
+            prefix = t if prefix is None else convolve(prefix, t)
     return mix(pieces, index_distribution(s))
 
 

@@ -1,9 +1,9 @@
 """What the benchmark under bench/ reads from the package.
 
 The benchmark's files change only in their own revisions, so these tests
-run its stochastic tasks with their own checks, and its CLI phase driver,
-against the current source: a return type the benchmark depends on can
-then not change unnoticed.
+run its lattice and stochastic tasks with their own checks, and its CLI
+phase driver, against the current source: a return type or a result the
+benchmark depends on can then not change unnoticed.
 """
 
 import json
@@ -32,6 +32,21 @@ def test_offlattice_stochastic_tasks_pass_their_checks(monkeypatch):
                    "stochastic.simulate_renewal_inspection.n100k",
                    "stochastic.stationary_renewal_arrivals",
                    "stochastic.skorohod_coupling"]
+
+
+def test_lattice_tasks_pass_their_checks(monkeypatch):
+    # the lattice merge, the prefix-shared sum rule and the FFT extraction, each
+    # held to the benchmark's own oracle
+    monkeypatch.syspath_prepend(str(BENCH))
+    import lattice
+    tasks, _ = lattice.build(0)
+    outs = []
+    for task in tasks:
+        outs.append(task.fn(outs))
+        task.check(outs[-1])
+    assert {t.key.split(".")[1] for t in tasks} == {
+        "size_biased_sum_pmf", "convolve_all", "pmf_recursion", "extract_increment",
+        "merge_atoms", "tv_distance", "binomial_poisson_check"}
 
 
 def test_cli_phase_driver_runs_renewal():

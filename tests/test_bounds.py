@@ -143,6 +143,26 @@ def test_concentration_fixed_values():
     assert tight_lo <= gauss_lo
 
 
+def test_tight_bound_matches_mpmath_where_the_closed_form_cancels():
+    # 0.1 <= |x - a|/(x + a) < 0.5 below x + a = 1e3: the closed form of bd0 cancelled
+    # there and left the bound up to 22 eps max(1, bd0/c) off; the series stays within 4
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        s = float(np.exp(rng.uniform(0.0, math.log(1e3))))
+        v = float(rng.uniform(0.1, 0.5) * rng.choice([-1, 1]))
+        a, x, c = s * (1 - v) / 2, s * (1 + v) / 2, float(rng.choice([0.5, 1.0, 2.0]))
+        cp = sb.ConcentrationParams(a, c, x)
+        tight = (sb.concentration_upper if x >= a else sb.concentration_lower)(cp)[0]
+        A, X = mp.mpf(a), mp.mpf(x)
+        exponent = (X * mp.log(X / A) + A - X) / c
+        err = abs(tight / mp.exp(-exponent) - 1)
+        assert err <= 6 * 2.2e-16 * max(1.0, float(exponent)), (a, c, x)
+    # the README example: 50-digit mpmath gives 0.21327402356696968
+    assert sb.concentration_upper(sb.ConcentrationParams(4.0, 1.0, 8.0))[0] == 0.21327402356696981
+
+
 def test_tail_iteration_value():
     cp = sb.ConcentrationParams(4.0, 1.0, 8.0)
     got = sb.tail_iteration(cp)
@@ -240,7 +260,7 @@ def test_concentration_bounds_keep_their_scale_at_the_ends_of_the_double_range()
 
 def test_bound_violations_raise_without_assert(monkeypatch):
     import sizebias.bounds as B
-    monkeypatch.setattr(B, "bd0", lambda x, a: -1.0)
+    monkeypatch.setattr(B, "bd0", lambda x, a, **kw: -1.0)
     with pytest.raises(BoundViolated):
         sb.concentration_upper(sb.ConcentrationParams(4.0, 1.0, 8.0))
     with pytest.raises(BoundViolated):

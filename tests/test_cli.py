@@ -266,11 +266,12 @@ def test_renewal_pool_capped_at_streams_and_cpus(capsys, monkeypatch):
 
 
 def test_default_stdout_matches_golden(capsys):
-    # the first nine take atoms only and involve no exp or log, so their bytes are portable;
-    # the last four (stein, named binomials, borel, stieltjes) pin the saddle-point masses
-    # and the centred quadrature, whose last bits rest on numpy's exp, log and sin
+    # the first ten take atoms only and involve no exp or log, so their bytes are portable
+    # (the tenth keeps the -0 support point the sort order gives); the last four (stein,
+    # named binomials, borel, stieltjes) pin the saddle-point masses and the centred
+    # quadrature, whose last bits rest on numpy's exp, log and sin
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-    assert len(golden) >= 13
+    assert len(golden) >= 14
     for case in golden:
         code, out, err = run_cli(capsys, *case["argv"])
         assert code == 0, err

@@ -179,6 +179,53 @@ def test_extract_truncated_window():
     assert abs(res.increment.prob_at(1.0) - 1.0) <= 1e-8
 
 
+def _extract_by(monkeypatch, fX, path):
+    """extract_increment through the FFT power-series path or through the loop alone."""
+    monkeypatch.setattr(sb.inf_div, "SERIES_KMAX", 0 if path == "series" else math.inf)
+    return sb.extract_increment(fX)
+
+
+@pytest.mark.parametrize("inc", [(0.5, 0.3, 0.2), (0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)])
+def test_series_extraction_matches_the_loop(monkeypatch, inc):
+    y = sb.DiscreteDist(np.arange(1.0, len(inc) + 1), np.array(inc))
+    for N in (300, 2000):
+        for a in (2.0, 5.0, 10.0, 15.0, 20.0, 24.0):
+            levy = sb.compound_poisson_from_increment(y, a)
+            fX = sb.pmf_recursion(levy, N)
+            fast, loop = (_extract_by(monkeypatch, fX, p) for p in ("series", "loop"))
+            assert fast.is_id == loop.is_id and fast.witness_index == loop.witness_index, (N, a)
+            assert np.array_equal(fast.examined, loop.examined)
+            true = np.zeros(loop.raw.size)
+            true[1 : len(inc) + 1] = inc
+            k = loop.examined
+            if np.max(np.abs(loop.raw[k] - true[k])) <= 1e-10:
+                assert np.max(np.abs(fast.raw[k] - loop.raw[k])) <= 1e-10, (N, a)
+            if levy.total_rate() <= 6:    # 1/F stays small enough to keep the FFT path
+                f = np.zeros(loop.raw.size)
+                f[: fX.ps.size] = fX.ps
+                assert sb.inf_div._series_quotient(f, np.arange(1, f.size) * f[1:] / fX.mean()) \
+                    is not None
+                assert np.max(np.abs(fast.raw - loop.raw)) <= 1e-12, (N, a)
+    # 1/F overflows for Poisson(200), whose mass at 0 is e^-200: the loop takes over
+    fX = sb.tabulate_named(sb.NamedDist("poisson", (200.0,)))
+    with np.errstate(over="ignore", invalid="ignore"):     # the loop overflows as well
+        fast, loop = (_extract_by(monkeypatch, fX, p) for p in ("series", "loop"))
+    assert fast.is_id == loop.is_id and fast.witness_index == loop.witness_index
+    assert np.array_equal(fast.raw, loop.raw, equal_nan=True)
+
+
+def test_extraction_switches_to_series_at_the_threshold(monkeypatch):
+    calls = []
+    quotient = sb.inf_div._series_quotient
+    monkeypatch.setattr(sb.inf_div, "_series_quotient", lambda *a: calls.append(1) or quotient(*a))
+    y = sb.DiscreteDist(np.arange(1.0, 3.0), np.array([0.5, 0.5]))
+    for N, expect in ((sb.inf_div.SERIES_KMAX - 1, []), (sb.inf_div.SERIES_KMAX, [1])):
+        fX = sb.pmf_recursion(sb.compound_poisson_from_increment(y, 3.0), N)
+        fX = sb.DiscreteDist(fX.xs, fX.ps, tail_bound=1e-300)      # extracted to kmax = N
+        calls.clear()
+        assert sb.extract_increment(fX).is_id and calls == expect
+
+
 # -------------------------------------------------------------------
 # log-convexity
 

@@ -85,6 +85,33 @@ def test_sum_rule_iid():
     assert sb.max_atom_gap(lhs, one) <= 1e-12
 
 
+def test_sum_rule_pieces_match_convolve_all_per_piece_bit_for_bit(monkeypatch):
+    # the prefix-shared pieces keep convolve_all's order, so each piece, and the
+    # mixture, has the bits of the form that convolved every piece afresh
+    from sizebias import sum_bias
+    pieces = []
+    mix = sum_bias.mix
+    monkeypatch.setattr(sum_bias, "mix", lambda comps, w: pieces.extend(comps) or mix(comps, w))
+    rng = np.random.Generator(np.random.Philox(31))
+    for k in range(1, 7):
+        for lattice in (True, False):
+            sizes = rng.integers(2, 9, k)
+            terms = tuple(
+                sb.DiscreteDist(np.arange(m, dtype=float) if lattice else
+                                np.sort(rng.choice(np.arange(1, 60) / 7, m, replace=False)),
+                                rng.dirichlet(np.ones(m))) for m in sizes)
+            s = sb.IndependentSum(terms)
+            pieces.clear()
+            got = sb.size_biased_sum_pmf(s)
+            want = [sb.convolve_all(terms[:i] + (sb.size_bias_discrete(t),) + terms[i + 1:])
+                    for i, t in enumerate(terms)]
+            assert len(pieces) == k
+            for p, q in zip(pieces, want):
+                assert np.array_equal(p.xs, q.xs) and np.array_equal(p.ps, q.ps)
+            ref = mix(want, sb.index_distribution(s))
+            assert np.array_equal(got.xs, ref.xs) and np.array_equal(got.ps, ref.ps)
+
+
 def test_sum_sampler_mean():
     rng = np.random.Generator(np.random.Philox(99))
     d1 = sb.DiscreteDist.from_pairs([(0.0, 0.3), (1.0, 0.5), (2.5, 0.2)])
