@@ -102,7 +102,17 @@ def _gfloat(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _float_seq(values) -> str:
+    """JSON array of Python floats, formatted in one pass; refuses NaN and inf."""
+    if not all(map(math.isfinite, values)):
+        for v in values:
+            _gfloat(v)      # raises on the first non-finite value
+    return ("[" + ", ".join(["%.17g"] * len(values)) + "]") % tuple(values)
+
+
 def json_text(value) -> str:
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        value = value.tolist()
     if value is True:
         return "true"
     if value is False:
@@ -115,6 +125,8 @@ def json_text(value) -> str:
         return _gfloat(float(value))
     if isinstance(value, str):
         return json.dumps(value)
+    if isinstance(value, (list, tuple)) and all(type(v) is float for v in value):
+        return _float_seq(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(json_text(v) for v in value) + "]"
     if isinstance(value, dict):

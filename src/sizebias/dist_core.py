@@ -674,7 +674,7 @@ def dist_to_json(d) -> dict:
     if isinstance(d, DiscreteDist):
         return {"atoms": [[float(x), float(p)] for x, p in zip(d.xs, d.ps)]}
     if isinstance(d, GridDensity):
-        return {"grid": {"h": d.h, "values": [float(v) for v in d.values],
+        return {"grid": {"h": d.h, "values": d.values.tolist(),
                          "atom0": d.atom0}}
     raise TypeError(f"cannot serialize {type(d).__name__}")
 

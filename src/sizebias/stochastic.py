@@ -59,7 +59,7 @@ def _cum_arrivals(dist, rng, n, span, lead=None):
     gaps = dist.sample(rng, (n, k0))
     if lead is not None:
         gaps[:, 0] = lead
-    cum = np.cumsum(gaps, axis=1)
+    cum = np.cumsum(gaps, axis=1, out=gaps)     # in place: one rows x k0 buffer, not two
     while cum[:, -1].min() <= span:
         short = cum[:, -1] <= span
         extra = dist.sample(rng, (int(short.sum()), k0))
@@ -98,7 +98,7 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
         rows = min(_CHUNK, n - lo)
         cum = _cum_arrivals(interarrival, rng, rows, horizon)
         t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
-        j = (cum <= t[:, None]).sum(axis=1)
+        j = np.count_nonzero(cum <= t[:, None], axis=1)
         nxt = cum[np.arange(rows), j]
         prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
         lengths[lo : lo + rows] = nxt - prev
@@ -134,7 +134,7 @@ def stationary_renewal_arrivals(interarrival, window_t: float, n: int, rng) -> n
         rows = min(_CHUNK, n - lo)
         lead = sample_stationary_phase(interarrival, rows, rng)
         cum = _cum_arrivals(interarrival, rng, rows, window_t, lead=lead)
-        counts[lo : lo + rows] = (cum <= window_t).sum(axis=1)
+        counts[lo : lo + rows] = np.count_nonzero(cum <= window_t, axis=1)
     return counts
 
 

@@ -1,7 +1,7 @@
 """What the benchmark under bench/ reads from the package.
 
 The benchmark's files change only in their own revisions, so these tests
-run its lattice and stochastic tasks with their own checks, and its CLI
+run its lattice and off-lattice tasks with their own checks, and its CLI
 phase driver, against the current source: a return type or a result the
 benchmark depends on can then not change unnoticed.
 """
@@ -32,6 +32,23 @@ def test_offlattice_stochastic_tasks_pass_their_checks(monkeypatch):
                    "stochastic.simulate_renewal_inspection.n100k",
                    "stochastic.stationary_renewal_arrivals",
                    "stochastic.skorohod_coupling"]
+
+
+def test_offlattice_tasks_pass_their_checks(monkeypatch):
+    # every task in batch order, so the delay grids, the JSON round trip and
+    # the Midzuno enumeration meet the benchmark's own oracles too
+    monkeypatch.syspath_prepend(str(BENCH))
+    import offlattice
+    tasks, _ = offlattice.build(0)
+    outs = []
+    for task in tasks:
+        outs.append(task.fn(outs))
+        task.check(outs[-1])
+    assert {t.key.split(".")[1] for t in tasks} == {
+        "size_biased_sum_pmf", "size_biased_product_pmf", "size_bias_mixture",
+        "dickman_solve", "buchstab_solve", "orbit_pmf", "berg_pmf", "mixture_normalizer",
+        "stieltjes_moment", "simulate_renewal_inspection", "stationary_renewal_arrivals",
+        "skorohod_coupling", "exact_expectation", "midzuno_sample", "json_text"}
 
 
 def test_lattice_tasks_pass_their_checks(monkeypatch):

@@ -7,7 +7,7 @@ from scipy.stats import poisson
 
 import sizebias as sb
 from sizebias.errors import (
-    GapInSupport, GridTooCoarse, NonIntegerJump, SupportOverflow, TruncationTooSevere,
+    DomainError, GapInSupport, GridTooCoarse, NonIntegerJump, SupportOverflow, TruncationTooSevere,
     ZeroAtOrigin, ZeroSupportPoint,
 )
 
@@ -313,6 +313,70 @@ def test_dickman_grid_guards():
         sb.dickman_solve(1.0, h=0.0)
     with pytest.raises(ValueError):
         sb.dickman_solve(-1.0)
+
+
+def test_delay_solvers_refuse_unmarchable_means():
+    # a h >= 2(1 + h) zeroes the implicit denominator 1 - a h/(2x) at x = 1 + h
+    with pytest.raises(GridTooCoarse):
+        sb.dickman_solve(2002.0, h=1e-3)
+    with pytest.raises(DomainError):
+        sb.dickman_solve(1e308, h=1e-3)
+    with pytest.raises(DomainError):
+        sb.buchstab_solve(1e308, 0.5, h=1e-3)
+
+
+def _dickman_reference(a, h, xmax):
+    """The grid march on numpy scalars, one element at a time."""
+    m1 = round(1.0 / h)
+    J = round(xmax / h)
+    x = h * np.arange(J + 1)
+    f = np.zeros(J + 1)
+    f[1 : m1 + 1] = x[1 : m1 + 1] ** (a - 1.0)
+    f[0] = max(2.0 * h ** (a - 1.0) / a - f[1], 0.0)
+    F = np.zeros(J + 1)
+    np.cumsum(0.5 * h * (f[1 : m1 + 1] + f[: m1]), out=F[1 : m1 + 1])
+    for j in range(m1 + 1, J + 1):
+        rhs = F[j - 1] + 0.5 * h * f[j - 1] - F[j - m1]
+        f[j] = (a / x[j]) * rhs / (1.0 - a * h / (2.0 * x[j]))
+        F[j] = F[j - 1] + 0.5 * h * (f[j - 1] + f[j])
+    return f / F[-1]
+
+
+def _buchstab_reference(a, b, h, xmax):
+    m1, mb = round(1.0 / h), round(b / h)
+    atom0 = b ** (a / (1.0 - b))
+    J = round(xmax / h)
+    x = h * np.arange(J + 1)
+    f = np.zeros(J + 1)
+    F = np.zeros(J + 1)
+    w = 1.0 / (1.0 - b)
+    for j in range(1, J + 1):
+        atom_term = atom0 * w if mb < j < m1 else 0.0
+        if j == mb or j == m1:
+            atom_term = 0.5 * atom0 * w
+        lo = F[j - m1] if j >= m1 else 0.0
+        hi = F[j - mb] if j >= mb else 0.0
+        f[j] = (a / x[j]) * (atom_term + w * (hi - lo))
+        F[j] = F[j - 1] + 0.5 * h * (f[j - 1] + f[j])
+    return f, atom0
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4, 1e-4])
+def test_delay_marches_keep_the_numpy_scalar_bits(h):
+    # the solvers march on Python floats; each step must round as the
+    # numpy-scalar march did
+    for a, xmax in ((0.3, 4.0), (1.0, 6.0), (2.5, 10.0), (7.0, 18.0)):
+        g = sb.dickman_solve(a, h=h, xmax=4.0)
+        assert _same_bits(g.values, _dickman_reference(a, h, 4.0)), (a, h)
+        for b in (0.2, 0.5, 0.75):
+            g = sb.buchstab_solve(a, b, h=h, xmax=xmax)
+            want, atom0 = _buchstab_reference(a, b, h, xmax)
+            assert _same_bits(g.values, want), (a, b, h)
+            assert g.atom0 == atom0
 
 
 # -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import sizebias as sb
 from sizebias.errors import (
-    BadSampleSize, BadSubsetSize, TooLargeToEnumerate, ZeroDenominator,
+    BadSampleSize, BadSubsetSize, DomainError, TooLargeToEnumerate, ZeroDenominator,
 )
 
 RNG = np.random.default_rng(np.random.Philox(20240820))
@@ -20,6 +20,12 @@ def test_population_validation():
         sb.Population(np.array([1.0, -2.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         sb.Population(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    # NaN or inf anywhere would reach every probability, or an estimate, unnoticed
+    for xs, ys in (([1.0, np.nan, 2.0], [0.0, 0.0, 0.0]), ([1.0, np.inf], [0.0, 0.0]),
+                   ([1.0, 2.0], [np.inf, 0.0]), ([1.0, 2.0], [0.0, -np.inf]),
+                   ([1.0, 2.0], [np.nan, 0.0])):
+        with pytest.raises(DomainError):
+            sb.Population(np.array(xs), np.array(ys))
 
 
 def test_two_unit_subset_probability():
@@ -44,6 +50,30 @@ def test_exact_unbiasedness():
         want = p.ys.sum() / p.xs.sum()
         for m in range(1, n + 1):
             assert sb.exact_expectation(p, m) == pytest.approx(want, abs=1e-12)
+
+
+def _expectation_reference(p, m):
+    """The enumeration one subset at a time, through the public per-subset functions."""
+    total = 0.0
+    for r in combinations(range(p.n), m):
+        prob = sb.subset_probability(p, r, m)
+        if prob > 0:
+            total += sb.ratio_estimate(p, r) * prob
+    return total
+
+
+def test_exact_expectation_matches_the_subset_loop_bit_for_bit():
+    rng = np.random.default_rng(np.random.Philox(20261018))
+    for trial in range(60):
+        n = int(rng.integers(2, 13))
+        xs = rng.uniform(0.05, 4.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        if trial % 3 == 0:
+            xs[rng.random(n) < 0.4] = 0.0       # units that are never drawn alone
+            xs[0] = max(xs[0], 1.0)
+        p = sb.Population(xs, rng.normal(size=n))
+        for m in range(1, n + 1):
+            got, want = sb.exact_expectation(p, m), _expectation_reference(p, m)
+            assert got == want and np.signbit(got) == np.signbit(want), (trial, m)
 
 
 def test_srs_is_biased_where_this_design_is_not():
