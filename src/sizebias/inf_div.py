@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dist_core import DiscreteDist, GridDensity, check_points
 from .errors import (
@@ -116,8 +117,10 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
     """Pmf on 0..N of the integer-jump compound Poisson law.
 
     f(0) = exp(-total rate); each later mass comes from the size-bias
-    split f(m+1) = a/(m+1) * sum f(i) f_Y(m+1-i).  The truncated tail is
-    recorded on the result and the masses renormalized.
+    split f(m+1) = a/(m+1) * sum f(i) f_Y(m+1-i).  f_Y is zero past the
+    largest jump Y <= N, so each mass reads only the Y before it: N*Y
+    multiply-adds, which the N(N+1)/2 work cap over-states.  The truncated
+    tail is recorded on the result and the masses renormalized.
     """
     if levy.alpha0 != 0.0:
         raise NonIntegerJump("drift mass shifts the law off the integer lattice")
@@ -129,14 +132,18 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
     check_points(N + 1, f"compound-Poisson pmf on 0..{N}")
     _check_work(N, f"compound-Poisson pmf on 0..{N}")
     # a jump past N cannot reach 0..N; it acts only through f(0)
-    fy = np.zeros(N + 1)
+    Y = max((k for k in ys if k <= N), default=1)
+    fy = np.zeros(Y + 1)
     for (y, r), k in zip(levy.jumps, ys):
         if k <= N:
             fy[k] = k * r / levy.a
-    f = np.zeros(N + 1)
-    f[0] = math.exp(-levy.total_rate())
+    # Y - 1 leading zeros: row m of the window is f(m+1-Y..m), summed in the same order
+    buf = np.zeros(N + Y)
+    buf[Y - 1] = math.exp(-levy.total_rate())
+    rows, w = sliding_window_view(buf, Y), fy[:0:-1]
     for m in range(N):
-        f[m + 1] = levy.a / (m + 1) * float(f[: m + 1] @ fy[m + 1 : 0 : -1])
+        buf[Y + m] = levy.a / (m + 1) * float(rows[m] @ w)
+    f = buf[Y - 1 :]
     tail = max(1.0 - f.sum(), 0.0)
     return DiscreteDist.from_pmf(f / f.sum(), tail_bound=tail)
 

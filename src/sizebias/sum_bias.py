@@ -77,21 +77,21 @@ def size_biased_sum_pmf(s: IndependentSum) -> DiscreteDist:
     """Exact transform of the sum via single-term biasing.
 
     Mixes, over i with weight mean_i / sum of means, the convolution in
-    which term i alone is replaced by its size-biased law.  Equals the
-    direct transform of the full convolution; tests hold it to that
-    oracle atom by atom.
+    which term i alone is replaced by its size-biased law.  Tests hold it
+    to the direct transform of the full convolution, atom by atom.
 
-    Piece i convolves the prefix t_1 + ... + t_{i-1}, shared between pieces,
-    with t_i*, then with t_{i+1}, ...: convolve_all's own order, so its bits.
+    Forward mode, three convolutions a term t: the running mixture A becomes
+    A * t and P * t* mixed W : mean(t), P the sum of the earlier terms, W its mean.
     """
-    pieces, prefix = [], None
-    for i, t in enumerate(s.terms):
-        star = size_bias_discrete(t)
-        head = star if prefix is None else convolve(prefix, star)
-        pieces.append(convolve_all((head,) + s.terms[i + 1:]))
-        if i + 1 < len(s.terms):      # no prefix past the last term
-            prefix = t if prefix is None else convolve(prefix, t)
-    return mix(pieces, index_distribution(s))
+    first, *rest = s.terms
+    mixed, prefix, w_sum = size_bias_discrete(first), first, first.mean()
+    for i, t in enumerate(rest, 2):
+        w = np.array([w_sum, t.mean()])
+        mixed = mix([convolve(mixed, t), convolve(prefix, size_bias_discrete(t))], w / w.sum())
+        w_sum = w.sum()
+        if i < len(s.terms):      # no prefix past the last term
+            prefix = convolve(prefix, t)
+    return mixed if rest else mix([mixed], [1.0])    # one term: renormalized as the mixture
 
 
 def sample_size_biased_sum(s: IndependentSum, rng, n: int) -> np.ndarray:

@@ -101,6 +101,40 @@ def test_recursion_jump_past_n_acts_only_through_the_origin():
     assert np.allclose(f.ps * (1.0 - f.tail_bound), want, rtol=1e-12, atol=0)
 
 
+def _pmf_recursion_full_length(levy, N):
+    """The O(N^2) loop over every earlier mass, the windowed recursion's reference."""
+    ys = [int(round(y)) for y, _ in levy.jumps]
+    # a jump past N cannot reach 0..N; it acts only through f(0)
+    fy = np.zeros(N + 1)
+    for (y, r), k in zip(levy.jumps, ys):
+        if k <= N:
+            fy[k] = k * r / levy.a
+    f = np.zeros(N + 1)
+    f[0] = math.exp(-levy.total_rate())
+    for m in range(N):
+        f[m + 1] = levy.a / (m + 1) * float(f[: m + 1] @ fy[m + 1 : 0 : -1])
+    tail = max(1.0 - f.sum(), 0.0)
+    return sb.DiscreteDist.from_pmf(f / f.sum(), tail_bound=tail)
+
+
+def test_recursion_window_has_the_full_length_loops_bits():
+    # the window drops only terms whose jump mass is 0, so every sum keeps its order
+    rng = np.random.Generator(np.random.Philox(11))
+    for N in (1, 40, 500, 4000):
+        cases = [((N + 1, 0.3),), ((N, 0.5),), ((1, 2.0), (N + 9, 0.1))]
+        for J in (1, 2, 4, 20, 200):
+            top = max(N, 2 * J)
+            ys = rng.choice(np.arange(1, top + 1), J, replace=False)
+            if J > 1:
+                ys[-1] = top + 1 + int(rng.integers(0, 50))    # a jump past N
+            cases.append(tuple(zip(ys.tolist(), rng.uniform(0.1, 1.0, J) * 3.0 / J)))
+        for jumps in cases:
+            levy = sb.LevyRepr(sum(y * r for y, r in jumps), 0.0, jumps)
+            got, want = sb.pmf_recursion(levy, N), _pmf_recursion_full_length(levy, N)
+            assert np.array_equal(got.ps, want.ps), (N, jumps[:3])
+            assert got.tail_bound == want.tail_bound
+
+
 def test_recursion_rejects_non_integer_jumps():
     with pytest.raises(NonIntegerJump):
         sb.pmf_recursion(sb.LevyRepr(1.0, 0.0, ((1.5, 1.0 / 1.5),)), 10)

@@ -1,4 +1,6 @@
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,31 +87,67 @@ def test_sum_rule_iid():
     assert sb.max_atom_gap(lhs, one) <= 1e-12
 
 
-def test_sum_rule_pieces_match_convolve_all_per_piece_bit_for_bit(monkeypatch):
-    # the prefix-shared pieces keep convolve_all's order, so each piece, and the
-    # mixture, has the bits of the form that convolved every piece afresh
-    from sizebias import sum_bias
-    pieces = []
-    mix = sum_bias.mix
-    monkeypatch.setattr(sum_bias, "mix", lambda comps, w: pieces.extend(comps) or mix(comps, w))
+def _prefix_sum_rule(s):
+    """The O(k^2) form: piece i convolves the shared prefix with t_i*, then t_{i+1}, ..."""
+    pieces, prefix = [], None
+    for i, t in enumerate(s.terms):
+        star = sb.size_bias_discrete(t)
+        head = star if prefix is None else sb.convolve(prefix, star)
+        pieces.append(sb.convolve_all((head,) + s.terms[i + 1:]))
+        if i + 1 < len(s.terms):
+            prefix = t if prefix is None else sb.convolve(prefix, t)
+    return sb.mix(pieces, sb.index_distribution(s))
+
+
+def _exact_size_biased_sum(terms, scale):
+    """x p_S(x) / E[S] of the exact convolution, in Fractions, one atom per round(scale x).
+
+    Carries each key's exact mass and first moment through the terms.
+    """
+    mass, moment = {0: Fraction(1)}, {0: Fraction(0)}
+    for t in terms:
+        new_mass, new_moment = defaultdict(Fraction), defaultdict(Fraction)
+        for x, p in zip(t.xs.tolist(), t.ps.tolist()):
+            fx, fp = Fraction(x), Fraction(p)
+            for c, m in mass.items():
+                new_mass[c + round(scale * x)] += m * fp
+                new_moment[c + round(scale * x)] += (moment[c] + m * fx) * fp
+        mass, moment = new_mass, new_moment
+    total = sum(moment.values())
+    return {c: m / total for c, m in sorted(moment.items()) if m}
+
+
+def test_sum_rule_within_4k_eps_of_the_exact_oracle_in_both_forms(monkeypatch):
+    # the forward form re-associates the prefix form's sums; each stays within
+    # 4k eps relative of the exact transform on every atom
     rng = np.random.Generator(np.random.Philox(31))
+    cases = []
     for k in range(1, 7):
         for lattice in (True, False):
             sizes = rng.integers(2, 9, k)
-            terms = tuple(
+            cases.append((lattice, tuple(
                 sb.DiscreteDist(np.arange(m, dtype=float) if lattice else
                                 np.sort(rng.choice(np.arange(1, 60) / 7, m, replace=False)),
-                                rng.dirichlet(np.ones(m))) for m in sizes)
-            s = sb.IndependentSum(terms)
-            pieces.clear()
-            got = sb.size_biased_sum_pmf(s)
-            want = [sb.convolve_all(terms[:i] + (sb.size_bias_discrete(t),) + terms[i + 1:])
-                    for i, t in enumerate(terms)]
-            assert len(pieces) == k
-            for p, q in zip(pieces, want):
-                assert np.array_equal(p.xs, q.xs) and np.array_equal(p.ps, q.ps)
-            ref = mix(want, sb.index_distribution(s))
-            assert np.array_equal(got.xs, ref.xs) and np.array_equal(got.ps, ref.ps)
+                                rng.dirichlet(np.ones(m))) for m in sizes)))
+        cases.append((True, tuple(sb.tabulate_named(sb.NamedDist("binomial", (8.0, p)))
+                                  for p in rng.uniform(0.1, 0.9, k))))
+    for lattice, terms in cases:
+        scale = 1 if lattice else 7
+        want = _exact_size_biased_sum(terms, scale)
+        bound = 4 * len(terms) * Fraction(2.0 ** -52)
+        s = sb.IndependentSum(terms)
+        for got in (sb.size_biased_sum_pmf(s), _prefix_sum_rule(s)):
+            keys = [round(scale * x) for x in got.xs.tolist()]
+            assert keys == list(want)
+            assert np.all(np.abs(got.xs - np.array(keys) / scale) <= 1e-12)
+            for p, c in zip(got.ps.tolist(), keys):
+                assert abs(Fraction(p) - want[c]) <= bound * want[c], (len(terms), c)
+    calls = []
+    convolve = sb.sum_bias.convolve
+    monkeypatch.setattr(sb.sum_bias, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    twelve = [sb.tabulate_named(sb.NamedDist("binomial", (8.0, p))) for p in rng.uniform(0.1, 0.9, 12)]
+    sb.size_biased_sum_pmf(sb.IndependentSum(tuple(twelve)))
+    assert len(calls) <= 3 * 12
 
 
 def test_sum_sampler_mean():
