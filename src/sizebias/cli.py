@@ -4,9 +4,10 @@ Reproducibility contract.  All randomness flows from numpy's Philox
 generator, a counter-based 64-bit bit stream.  The stream used by a
 subcommand is derived from the seed as
 
-    SeedSequence(seed, spawn_key=(index of subcommand, stream))
+    SeedSequence(seed, spawn_key=(position of its row in _COMMANDS, stream))
 
-with stream 0 for ordinary runs.  ``--workers k`` (Monte Carlo
+with stream 0 for ordinary runs.  New rows are appended, never inserted,
+so every existing stream stays put.  ``--workers k`` (Monte Carlo
 subcommands only) splits the workload across streams 0..k-1 and merges
 in stream order, so output depends only on argv; ``--workers 1`` is the
 reference run.  Floats are printed with 17 significant digits so every
@@ -23,8 +24,10 @@ import math
 import os
 import sys
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +57,6 @@ from .bounds import (
 
 DEFAULT_SEED = 0xC0FFEE
 
-SUBCOMMANDS = (
-    "transform", "sum", "product", "compound-poisson", "id-test",
-    "dickman", "buchstab", "orbit", "stieltjes", "berg",
-    "mixture-check", "midzuno", "renewal", "skorohod", "stein",
-    "concentration",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -82,13 +78,10 @@ class RunConfig:
         params = tuple(sorted((k, v) for k, v in vars(args).items() if k not in skip))
         return cls(args.command, args.seed, args.format, args.out, params)
 
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        return derive_rng(self.seed, self.command, stream)
-
 
 def derive_rng(seed: int, name: str, stream: int = 0) -> np.random.Generator:
     """Philox stream for (seed, subcommand, stream); see module docstring."""
-    ss = np.random.SeedSequence(seed, spawn_key=(SUBCOMMANDS.index(name), stream))
+    ss = np.random.SeedSequence(seed, spawn_key=(list(_COMMANDS).index(name), stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -135,18 +128,16 @@ def json_text(value) -> str:
 
 
 def csv_text(value) -> str:
-    """Two-column flattening: one row per scalar leaf, path in column 1."""
+    """Two-column flattening: one row per scalar leaf, path in column 1.
+
+    Strings take CSV quoting; every other leaf is written as json_text writes it.
+    """
     lines = ["key,value"]
 
     def scalar(v):
-        if v is True or v is False:
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return _gfloat(float(v))
-        s = str(v)
-        return '"' + s.replace('"', '""') + '"' if ("," in s or '"' in s) else s
+        if not isinstance(v, str):
+            return json_text(v)
+        return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
 
     def walk(path, v):
         if isinstance(v, dict):
@@ -386,6 +377,69 @@ def _positive(text: str) -> int:
     return v
 
 
+class _Command(NamedTuple):
+    run: Callable          # parsed namespace -> result document
+    help: str              # its line in `sizebias --help`
+    options: tuple         # (flag, add_argument keywords), in --help order
+
+
+def _dists(each: str) -> tuple:
+    return ("--dist", dict(action="append", required=True, help=f"repeat once per {each}"))
+
+
+_GRID = (("--h", dict(type=float, default=1e-3)), ("--xmax", dict(type=float, default=5.0)))
+_HALF_WIDTH = ("--half-width", dict(type=_positive, default=None))
+
+# one row per subcommand, in the order that keys each random stream
+# (module docstring): append new rows, never insert
+_COMMANDS = {
+    "transform": _Command(_cmd_transform, "size-bias one distribution",
+                          (("--dist", dict(required=True)),)),
+    "sum": _Command(_cmd_sum, "size-bias an independent sum", (_dists("summand"),)),
+    "product": _Command(_cmd_product, "size-bias an independent product", (_dists("factor"),)),
+    "compound-poisson": _Command(_cmd_compound_poisson, "pmf of an integer compound Poisson law", (
+        ("--levy", dict(help="jump representation as @file.json")),
+        ("--a", dict(type=float, help="mean, when building from an increment")),
+        ("--increment", dict(help="increment distribution")),
+        ("--n", dict(type=_positive, default=50, help="pmf computed on 0..n")))),
+    "id-test": _Command(_cmd_id_test, "infinite divisibility test", (
+        ("--pmf", dict(required=True, help="comma list of masses on 0,1,2,...")),)),
+    "dickman": _Command(_cmd_dickman, "delay-equation density, uniform increments", (
+        ("--a", dict(type=float, required=True)), *_GRID)),
+    "buchstab": _Command(_cmd_buchstab, "delay-equation density, gapped increments", (
+        ("--a", dict(type=float, required=True)), ("--b", dict(type=float, required=True)),
+        *_GRID)),
+    "orbit": _Command(_cmd_orbit, "geometric-grid law with lognormal moments", (
+        ("--b", dict(type=float, required=True)), ("--c", dict(type=float, required=True)),
+        _HALF_WIDTH)),
+    "stieltjes": _Command(_cmd_stieltjes, "perturbed lognormal density moments", (
+        ("--m", dict(type=_positive, default=1)), ("--delta", dict(type=float, default=0.5)),
+        ("--sigma", dict(type=float, default=1.0)), ("--kmax", dict(type=_positive, default=4)))),
+    "berg": _Command(_cmd_berg, "signed-perturbation lognormal-moment law", (
+        ("--sign", dict(type=int, choices=(-1, 1), required=True)),
+        ("--c", dict(type=float, required=True)), _HALF_WIDTH)),
+    "mixture-check": _Command(_cmd_mixture_check, "lognormal as mixture of geometric-grid laws", (
+        ("--c", dict(type=float, required=True)),)),
+    "midzuno": _Command(_cmd_midzuno, "unequal-probability sampling estimate", (
+        ("--csv", dict(required=True, help="population file, header x,y")),
+        ("--m", dict(type=_positive, required=True, help="sample size")))),
+    "renewal": _Command(_cmd_renewal, "inspection-paradox Monte Carlo", (
+        ("--interarrival", dict(required=True)), ("--horizon", dict(type=float, default=200.0)),
+        ("--n", dict(type=_positive, default=10000)),
+        ("--workers", dict(type=_positive, default=1,
+                           help="independent streams; 1 is the reference")))),
+    "skorohod": _Command(_cmd_skorohod, "Brownian interval embedding a mean-zero law", (
+        ("--dist", dict(required=True,
+                        help="mean-zero law, e.g. atoms:-1=0.5,1=0.5 or @file.json")),)),
+    "stein": _Command(_cmd_stein, "Poisson approximation bound vs exact distance", (
+        ("--n", dict(type=_positive, required=True)), ("--p", dict(type=float, required=True)))),
+    "concentration": _Command(_cmd_concentration, "tail bounds from a bounded coupling", (
+        ("--a", dict(type=float, required=True, help="mean")),
+        ("--c", dict(type=float, required=True, help="coupling bound")),
+        ("--x", dict(type=float, required=True, help="evaluation point")))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_u64, default=DEFAULT_SEED,
@@ -396,88 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sizebias",
                                 description="size-bias transform toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
-        sp.set_defaults(func=fn)
-        return sp
-
-    sp = add("transform", _cmd_transform, help="size-bias one distribution")
-    sp.add_argument("--dist", required=True)
-
-    sp = add("sum", _cmd_sum, help="size-bias an independent sum")
-    sp.add_argument("--dist", action="append", required=True,
-                    help="repeat once per summand")
-
-    sp = add("product", _cmd_product, help="size-bias an independent product")
-    sp.add_argument("--dist", action="append", required=True,
-                    help="repeat once per factor")
-
-    sp = add("compound-poisson", _cmd_compound_poisson,
-             help="pmf of an integer compound Poisson law")
-    sp.add_argument("--levy", help="jump representation as @file.json")
-    sp.add_argument("--a", type=float, help="mean, when building from an increment")
-    sp.add_argument("--increment", help="increment distribution")
-    sp.add_argument("--n", type=_positive, default=50, help="pmf computed on 0..n")
-
-    sp = add("id-test", _cmd_id_test, help="infinite divisibility test")
-    sp.add_argument("--pmf", required=True, help="comma list of masses on 0,1,2,...")
-
-    sp = add("dickman", _cmd_dickman, help="delay-equation density, uniform increments")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--h", type=float, default=1e-3)
-    sp.add_argument("--xmax", type=float, default=5.0)
-
-    sp = add("buchstab", _cmd_buchstab, help="delay-equation density, gapped increments")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--h", type=float, default=1e-3)
-    sp.add_argument("--xmax", type=float, default=5.0)
-
-    sp = add("orbit", _cmd_orbit, help="geometric-grid law with lognormal moments")
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--half-width", type=_positive, default=None)
-
-    sp = add("stieltjes", _cmd_stieltjes, help="perturbed lognormal density moments")
-    sp.add_argument("--m", type=_positive, default=1)
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--kmax", type=_positive, default=4)
-
-    sp = add("berg", _cmd_berg, help="signed-perturbation lognormal-moment law")
-    sp.add_argument("--sign", type=int, choices=(-1, 1), required=True)
-    sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--half-width", type=_positive, default=None)
-
-    sp = add("mixture-check", _cmd_mixture_check,
-             help="lognormal as mixture of geometric-grid laws")
-    sp.add_argument("--c", type=float, required=True)
-
-    sp = add("midzuno", _cmd_midzuno, help="unequal-probability sampling estimate")
-    sp.add_argument("--csv", required=True, help="population file, header x,y")
-    sp.add_argument("--m", type=_positive, required=True, help="sample size")
-
-    sp = add("renewal", _cmd_renewal, help="inspection-paradox Monte Carlo")
-    sp.add_argument("--interarrival", required=True)
-    sp.add_argument("--horizon", type=float, default=200.0)
-    sp.add_argument("--n", type=_positive, default=10000)
-    sp.add_argument("--workers", type=_positive, default=1,
-                    help="independent streams; 1 is the reference")
-
-    sp = add("skorohod", _cmd_skorohod, help="Brownian interval embedding a mean-zero law")
-    sp.add_argument("--dist", required=True,
-                    help="mean-zero law, e.g. atoms:-1=0.5,1=0.5 or @file.json")
-
-    sp = add("stein", _cmd_stein, help="Poisson approximation bound vs exact distance")
-    sp.add_argument("--n", type=_positive, required=True)
-    sp.add_argument("--p", type=float, required=True)
-
-    sp = add("concentration", _cmd_concentration, help="tail bounds from a bounded coupling")
-    sp.add_argument("--a", type=float, required=True, help="mean")
-    sp.add_argument("--c", type=float, required=True, help="coupling bound")
-    sp.add_argument("--x", type=float, required=True, help="evaluation point")
-
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=cmd.help)
+        sp.set_defaults(func=cmd.run)
+        for flag, kw in cmd.options:
+            sp.add_argument(flag, **kw)
     return p
 
 

@@ -664,10 +664,15 @@ def atoms_close(d1: DiscreteDist, d2: DiscreteDist, atol=ATOM_EQ_TOL) -> bool:
     return max_atom_gap(d1, d2) <= atol
 
 
+def atom_difference(d1: DiscreteDist, d2: DiscreteDist) -> np.ndarray:
+    """Mass of d1 minus mass of d2 at each atom of the merged union support."""
+    _, diff = merge_atoms(np.concatenate([d1.xs, d2.xs]), np.concatenate([d1.ps, -d2.ps]))
+    return diff
+
+
 def max_atom_gap(d1: DiscreteDist, d2: DiscreteDist) -> float:
     """Largest mass difference at one atom of the merged union support."""
-    _, diff = merge_atoms(np.concatenate([d1.xs, d2.xs]), np.concatenate([d1.ps, -d2.ps]))
-    return float(np.abs(diff).max())
+    return float(np.abs(atom_difference(d1, d2)).max())
 
 
 def dist_to_json(d) -> dict:
