@@ -26,7 +26,7 @@ print()
 print("=== alternating masses: same moments, no fixed point ===")
 d = sb.berg_pmf(1, c)
 print("  moments:", [round(sb.moment(d, k), 10) for k in range(4)])
-print("  tilting == rescaling by c:", sb.orbit_size_bias_check(d, c=c))
+print("  tilting == rescaling by c:", sb.orbit_size_bias_check(d))
 
 print()
 print("=== perturbed density: same moments again ===")

@@ -272,7 +272,7 @@ def _cmd_orbit(args) -> dict:
     o = orbit_pmf(args.b, args.c, M=args.half_width)
     d = orbit_as_dist(o)
     return {"b": o.b, "c": o.c, "half_width": o.M, "normalizer": o.t,
-            "mean": d.mean(), "size_bias_check": orbit_size_bias_check(o),
+            "mean": d.mean(), "size_bias_check": orbit_size_bias_check(d),
             "atoms": [[float(x), float(p)] for x, p in zip(o.xs, o.masses)]}
 
 
@@ -289,7 +289,7 @@ def _cmd_berg(args) -> dict:
     d = berg_pmf(args.sign, args.c, M=args.half_width)
     return {"sign": args.sign, "c": args.c,
             "moments": [moment(d, k) for k in range(4)],
-            "size_bias_check": orbit_size_bias_check(d, c=args.c),
+            "size_bias_check": orbit_size_bias_check(d),
             "atoms": dist_to_json(d)["atoms"]}
 
 

@@ -24,7 +24,6 @@ from .errors import (
     NonpositiveScale,
     NoSuccesses,
     SupportOverflow,
-    TailTooHeavy,
     ZeroMean,
 )
 
@@ -249,9 +248,8 @@ class DiscreteDist:
             raise ValueError(f"probabilities sum to {s}, not 1")
 
     @classmethod
-    def from_pairs(cls, pairs, signed=False, tail_bound=0.0):
-        xs, ps = merge_atoms([x for x, _ in pairs], [p for _, p in pairs])
-        return cls(xs, ps, signed=signed, tail_bound=tail_bound)
+    def from_pairs(cls, pairs, signed=False):
+        return cls(*merge_atoms([x for x, _ in pairs], [p for _, p in pairs]), signed=signed)
 
     @classmethod
     def from_pmf(cls, probs, tail_bound=0.0):
@@ -471,7 +469,7 @@ def tabulate_named(nd: NamedDist) -> DiscreteDist:
         tail = 1.0 - pmf.sum()
         return DiscreteDist(ks.astype(float), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
     if k == "borel":
-        return borel_pmf(p[0], tail_tol=TAIL_CUT)
+        return borel_pmf(p[0])
     raise ValueError(f"{k} is not a discrete family")
 
 
@@ -637,21 +635,23 @@ def size_bias_by_conditioning(pairs) -> DiscreteDist:
     return DiscreteDist(xs, counts / counts.sum())
 
 
-def borel_pmf(lam: float, N: int = 200, tail_tol=1e-9) -> DiscreteDist:
-    """Total-progeny law of a subcritical branching tree, truncated at N.
+def borel_pmf(lam: float) -> DiscreteDist:
+    """Total-progeny law of a subcritical branching tree, cut below TAIL_CUT.
 
     P(X = i) = e^{-lam*i} (lam*i)^{i-1} / i!, the Poisson(lam*i) mass at i over lam*i.
-    Raises TailTooHeavy when the first N terms leave more than tail_tol behind.
+    The table doubles from 200 terms until its measured tail 1 - sum is at most TAIL_CUT.
     """
     if not 0 <= lam < 1:
         raise ValueError(f"rate must be in [0, 1), got {lam}")
     if lam == 0.0:
         return DiscreteDist(np.array([1.0]), np.array([1.0]))
-    ks = np.arange(1.0, N + 1)
-    pmf = _poisson_mass(ks, lam * ks) / (lam * ks)
-    tail = 1.0 - pmf.sum()
-    if tail > tail_tol:
-        raise TailTooHeavy(f"tail mass {tail:.3e} exceeds {tail_tol} at N={N}")
+    N, tail = 100, 1.0
+    while tail > TAIL_CUT:
+        N *= 2
+        check_points(N, f"borel rate {lam:g}")
+        ks = np.arange(1.0, N + 1)
+        pmf = _poisson_mass(ks, lam * ks) / (lam * ks)
+        tail = 1.0 - pmf.sum()
     return DiscreteDist(ks, pmf / pmf.sum(), tail_bound=max(tail, 0.0))
 
 

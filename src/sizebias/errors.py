@@ -40,10 +40,6 @@ class NoSuccesses(SizeBiasError):
     """Conditioning event never occurred in the supplied pairs."""
 
 
-class TailTooHeavy(SizeBiasError):
-    """Requested truncation leaves more tail mass than allowed."""
-
-
 # sums, products, mixtures
 
 class ZeroMeanTerm(SizeBiasError):

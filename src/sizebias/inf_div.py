@@ -124,22 +124,22 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
     """
     if levy.alpha0 != 0.0:
         raise NonIntegerJump("drift mass shifts the law off the integer lattice")
-    ys = []
-    for y, _ in levy.jumps:
-        if abs(y - round(y)) > 1e-12 or round(y) < 1:
-            raise NonIntegerJump(f"jump size {y} is not a positive integer")
-        ys.append(int(round(y)))
+    ys, rs = np.array(levy.jumps).T
+    ks = np.round(ys)
+    bad = ~(np.abs(ys - ks) <= 1e-12) | (ks < 1)      # a NaN size counts as bad
+    if bad.any():
+        raise NonIntegerJump(f"jump size {ys[bad][0]} is not a positive integer")
     check_points(N + 1, f"compound-Poisson pmf on 0..{N}")
     _check_work(N, f"compound-Poisson pmf on 0..{N}")
-    # a jump past N cannot reach 0..N; it acts only through f(0)
-    Y = max((k for k in ys if k <= N), default=1)
-    fy = np.zeros(Y + 1)
-    for (y, r), k in zip(levy.jumps, ys):
-        if k <= N:
-            fy[k] = k * r / levy.a
+    # a jump past N acts only through f(0); jumps that round to one site add their rates
+    near = ks <= N
+    fy = np.bincount(ks[near].astype(int), weights=ks[near] * rs[near] / levy.a, minlength=2)
+    Y = fy.size - 1
     # Y - 1 leading zeros: row m of the window is f(m+1-Y..m), summed in the same order
     buf = np.zeros(N + Y)
     buf[Y - 1] = math.exp(-levy.total_rate())
+    if buf[Y - 1] == 0.0:
+        raise DomainError(f"e^-rate underflows to 0 at total jump rate {levy.total_rate():g}")
     rows, w = sliding_window_view(buf, Y), fy[:0:-1]
     for m in range(N):
         buf[Y + m] = levy.a / (m + 1) * float(rows[m] @ w)
@@ -320,6 +320,9 @@ def dickman_solve(a: float, h: float = 1e-3, xmax: float = 5.0) -> GridDensity:
     # endpoint value chosen so the first trapezoid panel matches the
     # exact integral h^a/a of the seed
     f[0] = max(2.0 * h ** (a - 1.0) / a - f[1], 0.0)
+    if not math.isfinite(f[0]):
+        raise DomainError(f"mean {a:g} is below {2.0 * h ** (a - 1.0) / np.finfo(float).max:.4g}, "
+                          f"the smallest at grid step {h:g}: the seed 2 h^(a-1)/a overflows")
     F = np.zeros(m1 + 1)
     np.cumsum(0.5 * h * (f[1:] + f[:m1]), out=F[1:])
     # march on Python floats: each + - * / rounds as the numpy scalar did,
@@ -353,8 +356,8 @@ def buchstab_solve(a: float, b: float, h: float = 1e-3, xmax: float = 8.0) -> Gr
         raise ValueError(f"b must be in (0, 1), got {b}")
     m1 = _check_grid(h, xmax)
     mb = round(b / h)
-    if abs(b / h - mb) > 1e-9:
-        raise GridTooCoarse(f"b = {b} must sit on the grid of step {h}")
+    if abs(b / h - mb) > 1e-9 or mb == 0:
+        raise GridTooCoarse(f"b = {b} must sit on the grid of step {h}, past its first point")
     _check_rate(a, h)
     atom0 = b ** (a / (1.0 - b))
     J = round(xmax / h)

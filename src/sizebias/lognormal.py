@@ -90,6 +90,17 @@ def auto_M(b: float, c: float) -> int:
     return max(12, -(-_width(abs(math.log(b)), math.log(c), TRUNC_MASS * t) // 4) * 4)
 
 
+def _orbit_grid(b: float, c: float, M: int | None):
+    """(M, n, terms, points b*c^n) for n = -M..M at a base b >= 1; M = None takes auto_M."""
+    M = auto_M(b, c) if M is None else M
+    lb, lc = math.log(b), math.log(c)
+    ns, terms = _orbit_terms(lb, lc, M)
+    # refused before c^n is taken; with b >= 1 the bottom point is at least 1/top, not 0
+    if lb + M * lc > math.log(np.finfo(float).max):
+        raise DomainError(f"orbit grid top b*c^{M} = e^{lb + M * lc:.6g} is past the double range")
+    return M, ns, terms, b * c ** ns.astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class OrbitDist:
     """Discrete law on the geometric grid b*c^n, n = -M..M.
@@ -111,11 +122,9 @@ def orbit_pmf(b: float, c: float, M: int | None = None) -> OrbitDist:
     """Construct the orbit law; b outside [1,c) is reduced first."""
     b = reduce_base(float(b), float(c))
     t = theta_t(b, c)
-    M = auto_M(b, c) if M is None else M
-    ns, terms = _orbit_terms(math.log(b), math.log(c), M)
+    M, _, terms, xs = _orbit_grid(b, c, M)
     if terms[0] / t >= TRUNC_MASS or terms[-1] / t >= TRUNC_MASS:
         raise TruncationTooSevere(f"edge mass at half-width {M} still above {TRUNC_MASS}")
-    xs = b * c ** ns.astype(float)
     return OrbitDist(b, c, M, xs, terms / terms.sum(), t)
 
 
@@ -130,32 +139,27 @@ def orbit_moment(o: OrbitDist, k: int) -> float:
     move the answer at relative 1e-8.
     """
     val = float((o.xs ** k) @ o.masses)
-    M1 = o.M + 1
-    _, terms = _orbit_terms(math.log(o.b), math.log(o.c), M1)
-    edge = max((o.b * o.c ** M1) ** k * terms[-1], (o.b * o.c ** -M1) ** k * terms[0]) / o.t
+    _, _, terms, xs = _orbit_grid(o.b, o.c, o.M + 1)
+    edge = max(xs[-1] ** k * terms[-1], xs[0] ** k * terms[0]) / o.t
     if edge > 1e-8 * abs(val):
         raise TruncationTooSevere(f"moment k={k} needs a wider orbit, edge term {edge:.2e}")
     return val
 
 
-def orbit_size_bias_check(o, c: float | None = None) -> bool:
-    """Does size biasing equal scaling by c?  True on orbit laws only.
+def orbit_size_bias_check(o) -> bool:
+    """Does size biasing equal scaling by the grid ratio c?  True on orbit laws only.
 
     Accepts an OrbitDist or any DiscreteDist on a geometric grid (the
     alternating-mass variant, say).  The comparison is index-aligned:
     the support is a geometric progression, so scaling by c shifts
     masses one slot up, and the transform multiplies slot n by x_n/mean.
     """
-    if isinstance(o, OrbitDist):
-        xs, ps = o.xs, o.masses / o.masses.sum()
-    else:
-        xs, ps = o.xs, o.ps
-        if c is None:
-            ratios = xs[1:] / xs[:-1]
-            if np.any(np.abs(ratios / np.median(ratios) - 1.0) > 1e-9):
-                raise ValueError("support is not a geometric progression")
-    mean = float(xs @ ps)
-    star = xs * ps / mean
+    d = orbit_as_dist(o) if isinstance(o, OrbitDist) else o
+    xs, ps = d.xs, d.ps
+    ratios = xs[1:] / xs[:-1]
+    if np.any(np.abs(ratios / np.median(ratios) - 1.0) > 1e-9):
+        raise ValueError("support is not a geometric progression")
+    star = xs * ps / d.mean()
     # scaled law occupies slots 1.. plus one new slot past the top
     gaps = np.abs(star[1:] - ps[:-1])
     worst = max(float(gaps.max()), float(star[0]), float(ps[-1]))
@@ -291,9 +295,6 @@ def berg_pmf(s: int, c: float, M: int | None = None) -> DiscreteDist:
     if s not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {s}")
     _check_domain(c)
-    b = math.sqrt(c)
-    M = auto_M(b, c) if M is None else M
-    ns, terms = _orbit_terms(math.log(b), math.log(c), M)
+    _, ns, terms, xs = _orbit_grid(math.sqrt(c), c, M)
     masses = (1.0 + s * (-1.0) ** ns) * terms
-    xs = b * c ** ns.astype(float)
     return DiscreteDist(xs, masses / masses.sum())

@@ -174,6 +174,22 @@ def test_compound_poisson_matches_library(capsys, tmp_path):
     f.write_text(json.dumps(sb.levy_to_json(levy)))
     again = run_json(capsys, "compound-poisson", "--levy", f"@{f}", "--n", "25")
     assert again["pmf"] == out["pmf"]
+    # jumps at 1 and 1 + 1e-13 share site 1, and their rates add up to Poisson(2)
+    f.write_text(json.dumps({"a": 2, "jumps": [[1.0, 1.0], [1.0000000000001, 0.9999999999999001]]}))
+    dup = run_json(capsys, "compound-poisson", "--levy", f"@{f}", "--n", "40")
+    want = [math.exp(-2.0 + k * math.log(2.0) - math.lgamma(k + 1)) for k in range(41)]
+    assert np.allclose(dup["pmf"], want, rtol=0, atol=1e-12)
+    assert dup["tail_bound"] <= 1e-12
+
+
+def test_borel_past_200_atoms(capsys):
+    # the table doubles until its measured tail is below TAIL_CUT
+    for r in (0.65, 0.9, 0.99):
+        out = run_json(capsys, "transform", "--dist", f"borel:{r}")
+        assert out["mean"] == pytest.approx(1.0 / (1.0 - r), rel=1e-15)
+        # E X* = E X^2 / E X = 1/(1 - r) + r/(1 - r)^2; the cut moves it by 5.7e-9 at r = 0.99
+        atoms = np.array(out["size_biased"]["atoms"])
+        assert atoms[:, 0] @ atoms[:, 1] == pytest.approx(1 / (1 - r) + r / (1 - r) ** 2, rel=1e-8)
 
 
 def test_dickman_grid_schema(capsys):
@@ -478,7 +494,14 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                  # a h >= 2(1 + h) zeroes the implicit denominator; a/h overflows
                  ["dickman", "--a", "2002", "--h", "0.001"],
                  ["dickman", "--a", "1e308"],
-                 ["buchstab", "--a", "1e308", "--b", "0.5"])
+                 ["buchstab", "--a", "1e308", "--b", "0.5"],
+                 # b rounds to grid index 0; e^-800 underflows; b c^M overflows;
+                 # the dickman seed endpoint 2 h^(a-1)/a overflows
+                 ["buchstab", "--a", "1", "--b", "1e-12"],
+                 ["compound-poisson", "--a", "800", "--increment", "atoms:1=1", "--n", "10"],
+                 ["orbit", "--b", "1", "--c", "1e26"],
+                 ["berg", "--sign", "1", "--c", "1e26"],
+                 ["dickman", "--a", "1e-305"])
     # tabulations and grids that would not fit in memory, or take minutes to fill
     unbounded = (["transform", "--dist", "geometric:1e-300"],
                  ["transform", "--dist", "geometric:1e-9"],
@@ -494,7 +517,8 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                  ["stieltjes", "--kmax", "1000000000"],
                  ["stieltjes", "--kmax", "40"],
                  ["orbit", "--b", "1.5", "--c", "2", "--half-width", "1000000000000"],
-                 ["berg", "--sign", "1", "--c", "2", "--half-width", "1000000000000"])
+                 ["berg", "--sign", "1", "--c", "2", "--half-width", "1000000000000"],
+                 ["transform", "--dist", "borel:0.999"])
     for argv in (*bad_input, *unbounded):
         p = _fresh_python("-m", "sizebias.cli", *argv, timeout=30)
         assert p.returncode == 2, argv

@@ -360,8 +360,17 @@ def test_borel_mean():
 
 
 def test_borel_tail_guard():
-    with pytest.raises(sb.SizeBiasError):
-        sb.borel_pmf(0.97, N=50)
+    # the table doubles from 200 atoms until the measured tail is below TAIL_CUT
+    from sizebias.dist_core import GRID_POINT_CAP, TAIL_CUT
+    for lam, atoms in ((0.6, 200), (0.65, 400), (0.9, 6400), (0.99, 409_600)):
+        d = sb.borel_pmf(lam)
+        assert d.xs.size == atoms and d.xs[-1] == atoms, lam
+        assert 0.0 <= d.tail_bound <= TAIL_CUT, lam
+        assert d.mean() == pytest.approx(1.0 / (1.0 - lam), rel=1e-9, abs=0), lam
+    # rate 0.999 would need 200 * 2^16 atoms, over the cap
+    assert 200 * 2 ** 15 <= GRID_POINT_CAP < 200 * 2 ** 16
+    with pytest.raises(SupportOverflow):
+        sb.borel_pmf(0.999)
 
 
 # -------------------------------------------------------------------
@@ -567,13 +576,14 @@ def test_poisson_pmf_matches_mpmath():
 
 def test_borel_pmf_matches_mpmath():
     mp = _mpmath()
-    for lam in (0.05, 0.5, 0.8):
-        d = sb.borel_pmf(lam, N=2000)
+    for lam in (0.05, 0.5, 0.8, 0.9):
+        d = sb.borel_pmf(lam)
+        n = d.xs.size       # masses are renormalized over the n atoms kept
         L = mp.mpf(lam)
         exact = [mp.exp(-L * i + (i - 1) * mp.log(L * i) - mp.loggamma(i + 1))
-                 for i in range(1, 2001)]
+                 for i in range(1, n + 1)]
         total = mp.fsum(exact)
-        for i in (1, 2, 3, 10, 50, 200, 1000, 2000):
+        for i in sorted({1, 2, 3, 10, 50, 200, 1000, n // 2, n} & set(range(1, n + 1))):
             want = exact[i - 1] / total
             if want > mp.mpf("1e-300"):
                 assert abs(d.ps[i - 1] - want) <= 1e-12 * want, (lam, i)

@@ -49,6 +49,10 @@ def test_recursion_poisson():
     lam = 1.3
     f = sb.pmf_recursion(sb.LevyRepr(lam, 0.0, ((1.0, lam),)), 40)
     assert np.allclose(f.ps, poisson.pmf(np.arange(41), lam), atol=1e-12)
+    # two jumps that round to site 1 add their rates: Poisson(2)
+    split = ((1.0, 1.0), (1.0000000000001, 0.9999999999999001))
+    f = sb.pmf_recursion(sb.LevyRepr(2.0, 0.0, split), 40)
+    assert np.allclose(f.ps, poisson.pmf(np.arange(41), 2.0), rtol=0, atol=1e-12)
 
 
 def test_recursion_two_jumps_vs_convolution():
@@ -108,7 +112,7 @@ def _pmf_recursion_full_length(levy, N):
     fy = np.zeros(N + 1)
     for (y, r), k in zip(levy.jumps, ys):
         if k <= N:
-            fy[k] = k * r / levy.a
+            fy[k] += k * r / levy.a
     f = np.zeros(N + 1)
     f[0] = math.exp(-levy.total_rate())
     for m in range(N):
@@ -140,6 +144,13 @@ def test_recursion_rejects_non_integer_jumps():
         sb.pmf_recursion(sb.LevyRepr(1.0, 0.0, ((1.5, 1.0 / 1.5),)), 10)
     with pytest.raises(NonIntegerJump):
         sb.pmf_recursion(sb.LevyRepr(1.0, 0.5, ((1.0, 0.5),)), 10)
+
+
+def test_recursion_refuses_a_mass_at_zero_that_underflows():
+    # e^-800 is 0 in doubles: every mass would be 0 and the renormalization 0/0
+    with pytest.raises(DomainError, match="total jump rate 800"):
+        sb.pmf_recursion(sb.LevyRepr(800.0, 0.0, ((1.0, 800.0),)), 10)
+    assert sb.pmf_recursion(sb.LevyRepr(700.0, 0.0, ((1.0, 700.0),)), 10).ps[0] > 0
 
 
 # -------------------------------------------------------------------
@@ -355,6 +366,10 @@ def test_delay_solvers_refuse_unmarchable_means():
         sb.dickman_solve(2002.0, h=1e-3)
     with pytest.raises(DomainError):
         sb.dickman_solve(1e308, h=1e-3)
+    # the seed endpoint 2 h^(a-1)/a overflows below a ~ 2/(h * max double)
+    with pytest.raises(DomainError, match="smallest at grid step 0.001"):
+        sb.dickman_solve(1e-305, h=1e-3)
+    assert np.isfinite(sb.dickman_solve(1e-300, h=1e-3).values).all()
     with pytest.raises(DomainError):
         sb.buchstab_solve(1e308, 0.5, h=1e-3)
 
@@ -465,6 +480,8 @@ def test_buchstab_moment_shift_identity():
 def test_buchstab_guards():
     with pytest.raises(GridTooCoarse):
         sb.buchstab_solve(1.0, 0.5005)      # b off the grid
+    with pytest.raises(GridTooCoarse):
+        sb.buchstab_solve(1.0, 1e-12)       # b rounds to grid index 0
     with pytest.raises(ValueError):
         sb.buchstab_solve(1.0, 1.5)
     with pytest.raises(TruncationTooSevere):

@@ -173,7 +173,7 @@ def test_orbit_as_dist_round_trip():
     o = sb.orbit_pmf(1.3, 2.0)
     d = sb.orbit_as_dist(o)
     assert np.isclose(d.mean(), math.sqrt(2.0), rtol=1e-10)
-    assert sb.orbit_size_bias_check(d, c=2.0)
+    assert sb.orbit_size_bias_check(d)
 
 
 # -------------------------------------------------------------------
@@ -203,6 +203,15 @@ def test_berg_midpoint_is_orbit():
 def test_berg_validation():
     with pytest.raises(ValueError):
         sb.berg_pmf(2, 2.0)
+
+
+def test_orbit_grids_past_the_double_range_are_refused():
+    # at half-width 12 the top point b c^12 passes 1.8e308 just above c = 1e25
+    with pytest.raises(DomainError, match="past the double range"):
+        sb.orbit_pmf(1.0, 1e26)
+    with pytest.raises(DomainError, match="past the double range"):
+        sb.berg_pmf(1, 1e26)
+    assert np.isfinite(sb.orbit_pmf(1.0, 1e25).xs[-1])
 
 
 # -------------------------------------------------------------------
