@@ -33,6 +33,7 @@ ATOM_EQ_TOL = 1e-9         # default atom-wise distribution equality
 FD_STEP = 1e-5             # central difference step for the char fn derivative
 GRID_POINT_CAP = 10_000_000  # tabulations and grids past this many points are refused
 TAIL_CUT = 1e-12           # tabulate_named cuts infinite supports below this tail mass
+BLOCK_CELLS = 1 << 16      # cells per row block of a draw or row count (times flat 2^14..2^18)
 
 
 # ===================================================================
@@ -164,6 +165,32 @@ def poisson_pmf(lam: float, hi: int) -> np.ndarray:
 # containers
 # ===================================================================
 
+def row_blocks(a):
+    """Slices of whole rows of a, about BLOCK_CELLS cells each."""
+    step = max(1, BLOCK_CELLS // max(1, math.prod(a.shape[1:])))
+    return (slice(lo, lo + step) for lo in range(0, len(a), step))
+
+
+def _fill_rows(out, draw):
+    """Fill out with draw(shape), a block of rows at a time.
+
+    A generator's draws run in sequence, so the bits are those of one
+    draw(out.shape), without a second array of out's size.
+    """
+    for rows in row_blocks(out):
+        out[rows] = draw(out[rows].shape)
+
+
+class _Sampled:
+    """``sample`` allocates and ``fill`` draws; a caller with a buffer calls fill."""
+
+    def sample(self, rng, size) -> np.ndarray:
+        """Draws of the given shape."""
+        out = np.empty(size)
+        self.fill(rng, out)
+        return out
+
+
 def merge_atoms(xs, ps):
     """Sort support points and sum masses of points closer than ATOM_MERGE_TOL.
 
@@ -214,7 +241,7 @@ def _merge_lattice(xs, ps, lo, span):
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteDist:
+class DiscreteDist(_Sampled):
     """Finite list of (support point, probability) atoms.
 
     Support is sorted strictly increasing and nonnegative unless
@@ -267,9 +294,10 @@ class DiscreteDist:
     def survival(self, t) -> float:
         return float(self.ps[self.xs > t].sum())
 
-    def sample(self, rng, size) -> np.ndarray:
-        """Draws of the given shape."""
-        return rng.choice(self.xs, size=size, p=self.ps / self.ps.sum())
+    def fill(self, rng, out) -> None:
+        """Draw into out in place."""
+        p = self.ps / self.ps.sum()
+        _fill_rows(out, lambda shape: rng.choice(self.xs, size=shape, p=p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +365,7 @@ class _Family(NamedTuple):
     ok: Callable                       # params -> inside the domain?
     mean: Callable                     # params -> mean
     transform: Callable | None = None  # params -> (shift, kind, params) of the size-biased law
-    sampler: Callable | None = None    # (rng, size, *params) -> draws of that shape
+    sampler: Callable | None = None    # (rng, out, *params) -> fills out with draws
 
 
 # one row per family; tabulate_named and named_density keep the per-family numerics
@@ -352,25 +380,27 @@ _FAMILIES = {
         lambda n, p: (0.0, "dirac", (1.0,)) if n == 1 else (1.0, "binomial", (n - 1, p))),
     "geometric": _Family(("p",), "0 < p <= 1", lambda p: 0 < p <= 1, lambda p: (1 - p) / p),
     "gamma": _Family(("shape",), "shape > 0", lambda a: a > 0, lambda a: a,
-                     lambda a: (0.0, "gamma", (a + 1,)), lambda g, size, a: g.gamma(a, size=size)),
+                     lambda a: (0.0, "gamma", (a + 1,)),
+                     lambda g, out, a: g.standard_gamma(a, out=out)),
     "exponential": _Family((), "none", lambda: True, lambda: 1.0, lambda: (0.0, "gamma", (2.0,)),
-                           lambda g, size: g.exponential(size=size)),
+                           lambda g, out: g.standard_exponential(out=out)),
     "lognormal": _Family(("mu", "sigma2"), "sigma2 > 0", lambda mu, s2: s2 > 0, _lognormal_mean,
                          lambda mu, s2: (0.0, "lognormal", (mu + s2, s2)),
-                         lambda g, size, mu, s2: g.lognormal(mu, math.sqrt(s2), size=size)),
+                         lambda g, out, mu, s2: _fill_rows(
+                             out, lambda shape: g.lognormal(mu, math.sqrt(s2), size=shape))),
     "uniform01": _Family((), "none", lambda: True, lambda: 0.5, lambda: (0.0, "beta", (2.0, 1.0)),
-                         lambda g, size: g.random(size=size)),
+                         lambda g, out: g.random(out=out)),
     "borel": _Family(("rate",), "0 <= rate < 1", lambda r: 0 <= r < 1, lambda r: 1.0 / (1.0 - r)),
     "dirac": _Family(("c",), "any c", lambda c: True, lambda c: c, _dirac_transform,
-                     lambda g, size, c: np.full(size, c)),
+                     lambda g, out, c: out.fill(c)),
     "beta": _Family(("a", "b"), "a > 0, b > 0", lambda a, b: a > 0 and b > 0,
                     lambda a, b: a / (a + b), lambda a, b: (0.0, "beta", (a + 1, b)),
-                    lambda g, size, a, b: g.beta(a, b, size=size)),
+                    lambda g, out, a, b: _fill_rows(out, lambda shape: g.beta(a, b, size=shape))),
 }
 
 
 @dataclass(frozen=True)
-class NamedDist:
+class NamedDist(_Sampled):
     """Tagged union over the standard families in ``_FAMILIES``.
 
     kinds and params: poisson(rate), bernoulli(p), binomial(n, p),
@@ -393,12 +423,12 @@ class NamedDist:
         if not (all(math.isfinite(v) for v in self.params) and fam.ok(*self.params)):
             raise ValueError(f"{name} needs finite parameters and {fam.domain}, got {self.params}")
 
-    def sample(self, rng, size) -> np.ndarray:
-        """Draws of the given shape; NoSampler, before any draw, for a family without one."""
+    def fill(self, rng, out) -> None:
+        """Draw into out in place; NoSampler, before any draw, for a family without one."""
         draw = _FAMILIES[self.kind].sampler
         if draw is None:
             raise NoSampler(f"no sampler for family {self.kind}")
-        return draw(rng, size, *self.params)
+        draw(rng, out, *self.params)
 
 
 def named_mean(nd: NamedDist) -> float:
@@ -548,18 +578,26 @@ def size_bias_density(g: GridDensity) -> GridDensity:
 
 
 def moment(d, k: int) -> float:
-    """k-th raw moment.  Negative k needs a zero-free discrete support."""
-    if isinstance(d, DiscreteDist):
-        if k < 0 and d.prob_at(0.0) > 0:
-            raise NegativeMomentAtZero(f"moment k={k} undefined with an atom at 0")
-        return float((d.xs ** k) @ d.ps)
-    if isinstance(d, GridDensity):
-        if k < 0:
-            raise NegativeMomentAtZero("grid densities include the origin")
-        xs = d.grid()
-        contrib = d.atom0 if k == 0 else 0.0
-        return contrib + float(trapezoid(xs ** k * d.values, dx=d.h))
-    raise TypeError(f"cannot take moments of {type(d).__name__}")
+    """k-th raw moment.  Negative k needs a zero-free discrete support.
+
+    Raises SupportOverflow where x^k leaves the double range on the support.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(d, DiscreteDist):
+            if k < 0 and d.prob_at(0.0) > 0:
+                raise NegativeMomentAtZero(f"moment k={k} undefined with an atom at 0")
+            val = float((d.xs ** k) @ d.ps)
+        elif isinstance(d, GridDensity):
+            if k < 0:
+                raise NegativeMomentAtZero("grid densities include the origin")
+            contrib = d.atom0 if k == 0 else 0.0
+            val = contrib + float(trapezoid(d.grid() ** k * d.values, dx=d.h))
+        else:
+            raise TypeError(f"cannot take moments of {type(d).__name__}")
+    if not math.isfinite(val):
+        raise SupportOverflow(f"moment k={k} leaves the double range: x^{k} overflows on "
+                              "this support")
+    return val
 
 
 def scale(d, c: float):
@@ -639,20 +677,21 @@ def borel_pmf(lam: float) -> DiscreteDist:
     """Total-progeny law of a subcritical branching tree, cut below TAIL_CUT.
 
     P(X = i) = e^{-lam*i} (lam*i)^{i-1} / i!, the Poisson(lam*i) mass at i over lam*i.
-    The table doubles from 200 terms until its measured tail 1 - sum is at most TAIL_CUT.
+    The table doubles from 200 terms until its measured tail 1 - sum is at most TAIL_CUT;
+    each doubling computes only its new half, since the masses are elementwise.
     """
     if not 0 <= lam < 1:
         raise ValueError(f"rate must be in [0, 1), got {lam}")
     if lam == 0.0:
         return DiscreteDist(np.array([1.0]), np.array([1.0]))
-    N, tail = 100, 1.0
+    pmf, tail = np.empty(0), 1.0
     while tail > TAIL_CUT:
-        N *= 2
+        N = max(200, 2 * pmf.size)
         check_points(N, f"borel rate {lam:g}")
-        ks = np.arange(1.0, N + 1)
-        pmf = _poisson_mass(ks, lam * ks) / (lam * ks)
+        ks = np.arange(pmf.size + 1.0, N + 1)
+        pmf = np.concatenate([pmf, _poisson_mass(ks, lam * ks) / (lam * ks)])
         tail = 1.0 - pmf.sum()
-    return DiscreteDist(ks, pmf / pmf.sum(), tail_bound=max(tail, 0.0))
+    return DiscreteDist(np.arange(1.0, pmf.size + 1), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
 
 
 # ===================================================================

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import (_FAMILIES, DiscreteDist, NamedDist, closed_form_size_bias, merge_atoms,
-                        named_mean, size_bias_discrete)
+                        named_mean, row_blocks, size_bias_discrete)
 from .errors import (ConstantInput, DomainError, HorizonTooShort, NonzeroMean, NoSampler,
                      SupportOverflow, ZeroMean)
 
@@ -43,30 +43,66 @@ def _interarrival_mean(dist) -> float:
     return mean
 
 
-def _cum_arrivals(dist, rng, n, span, lead=None):
-    """Cumulative arrival times per row, guaranteed to pass span.
+def _check_cells(rows, width, span) -> None:
+    if not rows * width <= ARRIVAL_CELL_CAP:
+        raise SupportOverflow(f"{rows} streams to {span:.4g} need about {rows * width:.3g} "
+                              f"arrival cells, over {ARRIVAL_CELL_CAP}")
 
-    ``lead`` optionally supplies the first arrival per row; later gaps
-    are ordinary interarrivals.  Raises SupportOverflow, before drawing,
-    when the first buffer would pass ARRIVAL_CELL_CAP cells.
+
+def _arrival_buffer(dist, rows, span) -> np.ndarray:
+    """An empty rows x k0 buffer, k0 gaps per row: enough for nearly every row to pass span.
+
+    Raises SupportOverflow, before allocating, past ARRIVAL_CELL_CAP cells.
     """
     mean = _interarrival_mean(dist)
     k0 = span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8
-    if not n * k0 <= ARRIVAL_CELL_CAP:
-        raise SupportOverflow(f"{n} streams to {span:.4g} need about {n * k0:.3g} arrival "
-                              f"cells, over {ARRIVAL_CELL_CAP}")
-    k0 = int(k0)
-    gaps = dist.sample(rng, (n, k0))
+    _check_cells(rows, k0, span)
+    return np.empty((rows, int(k0)))
+
+
+def _cum_arrivals(dist, rng, n, span, lead=None, buf=None):
+    """Cumulative arrival times per row, guaranteed to pass span.
+
+    The gaps are drawn into the first n rows of ``buf`` (a new buffer
+    when None) and summed there in place.  ``lead`` optionally supplies
+    the first arrival per row; later gaps are ordinary interarrivals.
+    Rows still short of span get k0 more arrivals in a wider copy; every
+    allocation is checked against ARRIVAL_CELL_CAP before it is made.
+    """
+    if buf is None:
+        buf = _arrival_buffer(dist, n, span)
+    cum = buf[:n]
+    dist.fill(rng, cum)
     if lead is not None:
-        gaps[:, 0] = lead
-    cum = np.cumsum(gaps, axis=1, out=gaps)     # in place: one rows x k0 buffer, not two
-    while cum[:, -1].min() <= span:
-        short = cum[:, -1] <= span
+        cum[:, 0] = lead
+    np.cumsum(cum, axis=1, out=cum)
+    k0 = cum.shape[1]
+    while (last := cum[:, -1]).min() <= span:
+        short = last <= span
+        width = cum.shape[1] + k0
+        _check_cells(n, width, span)
         extra = dist.sample(rng, (int(short.sum()), k0))
-        add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
-        cum = np.hstack([cum, np.full((n, k0), np.inf)])
-        cum[short, -k0:] = add
+        np.cumsum(extra, axis=1, out=extra)
+        extra += last[short][:, None]
+        wide = np.empty((n, width))
+        wide[:, :-k0] = cum
+        wide[:, -k0:] = np.inf
+        wide[short, -k0:] = extra
+        cum = wide
     return cum
+
+
+def _count_at_most(cum, t) -> np.ndarray:
+    """Per row, the number of entries <= t (a scalar or one value per row).
+
+    Counts a block of rows at a time, so no rows x k0 mask is built; the
+    count covers the whole row, sorted or not.
+    """
+    t = np.broadcast_to(t, cum.shape[:1])
+    counts = np.empty(len(cum), dtype=np.int64)
+    for rows in row_blocks(cum):
+        counts[rows] = np.count_nonzero(cum[rows] <= t[rows, None], axis=1)
+    return counts
 
 
 # ===================================================================
@@ -94,15 +130,17 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
         raise HorizonTooShort(f"horizon {horizon} below 50 interarrival means")
     lengths = np.empty(n)
     waits = np.empty(n)
+    buf = _arrival_buffer(interarrival, min(n, _CHUNK), horizon)
     for lo in range(0, n, _CHUNK):
         rows = min(_CHUNK, n - lo)
-        cum = _cum_arrivals(interarrival, rng, rows, horizon)
+        cum = _cum_arrivals(interarrival, rng, rows, horizon, buf=buf)
         t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
-        j = np.count_nonzero(cum <= t[:, None], axis=1)
+        j = _count_at_most(cum, t)
         nxt = cum[np.arange(rows), j]
         prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
         lengths[lo : lo + rows] = nxt - prev
         waits[lo : lo + rows] = nxt - t
+        del cum     # a widened copy must not stay alive through the next chunk's draw
     bad = np.flatnonzero(~((waits >= 0.0) & (waits <= lengths + 1e-12)))
     if bad.size:
         raise ValueError(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
@@ -130,11 +168,12 @@ def stationary_renewal_arrivals(interarrival, window_t: float, n: int, rng) -> n
     if not (math.isfinite(window_t) and window_t > 0):
         raise DomainError(f"window must be positive and finite, got {window_t}")
     counts = np.empty(n, dtype=np.int64)
+    buf = _arrival_buffer(interarrival, min(n, _CHUNK), window_t)
     for lo in range(0, n, _CHUNK):
         rows = min(_CHUNK, n - lo)
         lead = sample_stationary_phase(interarrival, rows, rng)
-        cum = _cum_arrivals(interarrival, rng, rows, window_t, lead=lead)
-        counts[lo : lo + rows] = np.count_nonzero(cum <= window_t, axis=1)
+        counts[lo : lo + rows] = _count_at_most(
+            _cum_arrivals(interarrival, rng, rows, window_t, lead=lead, buf=buf), window_t)
     return counts
 
 

@@ -10,6 +10,9 @@ from sizebias.errors import (ConstantInput, DomainError, HorizonTooShort, Nonzer
                              NoSampler, SupportOverflow, ZeroMean)
 
 RNG = np.random.default_rng(np.random.Philox(20240821))
+# 151 gaps per row reach 60 only past a gap of 100: about a fifth of the rows draw none
+# and take the widening branch
+RARE_LONG_GAP = sb.DiscreteDist(np.array([0.01, 100.0]), np.array([0.99, 0.01]))
 
 
 def random_mean_zero(rng, with_zero=False):
@@ -88,7 +91,7 @@ def test_inspection_invariant_is_checked(monkeypatch):
     # unsorted arrivals give a negative wait, then a wait past a negative
     # interval; sorted ones never break 0 <= wait <= length
     for row in ((0.95, 0.05, 2.0), (0.97, 0.96, 0.01, 2.0)):
-        monkeypatch.setattr(T, "_cum_arrivals", lambda dist, rng, n, span, row=row:
+        monkeypatch.setattr(T, "_cum_arrivals", lambda dist, rng, n, span, row=row, **_:
                             np.tile(np.array(row) * span, (n, 1)))
         with pytest.raises(ValueError, match="exceeds interval"):
             sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 100.0, 5,
@@ -226,13 +229,35 @@ def test_arrival_buffer_capped_before_allocating():
     assert peak < 1_000_000
 
 
+def test_widening_is_capped_before_allocating(monkeypatch):
+    # 1,000 rows of 151 gaps fit under the cap; the first widening, to 302 gaps, does not
+    monkeypatch.setattr(T, "ARRIVAL_CELL_CAP", 200_000)
+    with pytest.raises(SupportOverflow, match=r"about 3\.02e\+05 arrival cells"):
+        T._cum_arrivals(RARE_LONG_GAP, np.random.default_rng(0), 1_000, 60.0)
+
+
+def test_inspection_holds_one_arrival_buffer():
+    import tracemalloc
+    expo = sb.NamedDist("exponential", ())
+    sb.simulate_renewal_inspection(expo, 60.0, 5, np.random.default_rng(0))    # lazy imports
+    k0 = int(60.0 * 1.1 + 10.0 * math.sqrt(61.0) + 8)
+    tracemalloc.start()
+    try:
+        sb.simulate_renewal_inspection(expo, 60.0, 3 * T._CHUNK, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every chunk draws into the one _CHUNK x k0 buffer; no second one is alive
+    assert peak <= 1.15 * T._CHUNK * k0 * 8
+
+
 # -------------------------------------------------------------------
 # references: the per-sample loop, the per-family samplers and the dict
 # coupling that the array code replaced, kept to be matched bit for bit
 
 def _ref_draw_gaps(dist, rng, size):
     if isinstance(dist, sb.DiscreteDist):
-        return dist.sample(rng, int(np.prod(size))).reshape(size)
+        return rng.choice(dist.xs, size=size, p=dist.ps / dist.ps.sum())
     k, p = dist.kind, dist.params
     if k == "exponential":
         return rng.exponential(size=size)
@@ -244,12 +269,15 @@ def _ref_draw_gaps(dist, rng, size):
         return rng.random(size=size)
     if k == "lognormal":
         return rng.lognormal(p[0], math.sqrt(p[1]), size=size)
+    if k == "beta":
+        return rng.beta(p[0], p[1], size=size)
     raise TypeError(f"no interarrival sampler for family {k}")
 
 
 def _ref_draw_size_biased(dist, rng, n):
     if isinstance(dist, sb.DiscreteDist):
-        return sb.size_bias_discrete(dist).sample(rng, n)
+        star = sb.size_bias_discrete(dist)
+        return rng.choice(star.xs, size=n, p=star.ps / star.ps.sum())
     k, p = dist.kind, dist.params
     if k == "exponential":
         return rng.gamma(2.0, size=n)
@@ -259,22 +287,34 @@ def _ref_draw_size_biased(dist, rng, n):
         return np.full(n, p[0])
     if k == "lognormal":
         return rng.lognormal(p[0] + p[1], math.sqrt(p[1]), size=n)
+    if k == "uniform01":
+        return rng.beta(2.0, 1.0, size=n)
+    if k == "beta":
+        return rng.beta(p[0] + 1.0, p[1], size=n)
     raise TypeError(f"no size-biased sampler for family {k}")
 
 
-def _ref_inspection(dist, horizon, n, rng):
+def _ref_cum(dist, rng, rows, span, lead=None):
     mean = dist.mean() if isinstance(dist, sb.DiscreteDist) else sb.named_mean(dist)
-    k0 = int(horizon / mean * 1.1 + 10.0 * math.sqrt(horizon / mean + 1.0) + 8)
+    k0 = int(span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8)
+    gaps = _ref_draw_gaps(dist, rng, (rows, k0))
+    if lead is not None:
+        gaps[:, 0] = lead
+    cum = np.cumsum(gaps, axis=1)
+    while cum[:, -1].min() <= span:
+        short = cum[:, -1] <= span
+        extra = _ref_draw_gaps(dist, rng, (int(short.sum()), k0))
+        add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
+        cum = np.hstack([cum, np.full((rows, k0), np.inf)])
+        cum[short, -k0:] = add
+    return cum
+
+
+def _ref_inspection(dist, horizon, n, rng):
     lengths, waits = [], []
     for lo in range(0, n, T._CHUNK):
         rows = min(T._CHUNK, n - lo)
-        cum = np.cumsum(_ref_draw_gaps(dist, rng, (rows, k0)), axis=1)
-        while cum[:, -1].min() <= horizon:
-            short = cum[:, -1] <= horizon
-            extra = _ref_draw_gaps(dist, rng, (int(short.sum()), k0))
-            add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
-            cum = np.hstack([cum, np.full((rows, k0), np.inf)])
-            cum[short, -k0:] = add
+        cum = _ref_cum(dist, rng, rows, horizon)
         t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
         j = (cum <= t[:, None]).sum(axis=1)
         nxt = cum[np.arange(rows), j]
@@ -285,6 +325,16 @@ def _ref_inspection(dist, horizon, n, rng):
             lengths.append(float(L))
             waits.append(float(w))
     return np.array(lengths), np.array(waits)
+
+
+def _ref_stationary(dist, window, n, rng):
+    counts = []
+    for lo in range(0, n, T._CHUNK):
+        rows = min(T._CHUNK, n - lo)
+        star = _ref_draw_size_biased(dist, rng, rows)
+        cum = _ref_cum(dist, rng, rows, window, lead=rng.random(rows) * star)
+        counts.extend(int(c) for c in (cum <= window).sum(axis=1))
+    return np.array(counts)
 
 
 def _ref_coupling_atoms(x):
@@ -327,11 +377,12 @@ INTERARRIVALS = [
     (sb.NamedDist("dirac", (1.5,)), 80.0),
     (sb.NamedDist("uniform01", ()), 30.0),
     (sb.DiscreteDist(np.array([1.0, 3.0]), np.array([0.5, 0.5])), 110.0),
+    (sb.NamedDist("beta", (2.0, 3.0)), 30.0),
 ]
+FAMILY_IDS = ["exponential", "gamma", "lognormal", "dirac", "uniform01", "atoms", "beta"]
 
 
-@pytest.mark.parametrize("dist,horizon", INTERARRIVALS,
-                         ids=["exponential", "gamma", "lognormal", "dirac", "uniform01", "atoms"])
+@pytest.mark.parametrize("dist,horizon", INTERARRIVALS, ids=FAMILY_IDS)
 def test_inspection_columns_match_per_sample_reference(dist, horizon):
     n = 45_000      # past two chunk boundaries
     out = sb.simulate_renewal_inspection(dist, horizon, n, np.random.default_rng(n))
@@ -341,11 +392,26 @@ def test_inspection_columns_match_per_sample_reference(dist, horizon):
     assert np.array_equal(out.residual_wait, waits)
 
 
+def test_widened_inspection_matches_per_sample_reference(monkeypatch):
+    monkeypatch.setattr(T, "_CHUNK", 1_000)
+    n = 3_000
+    out = sb.simulate_renewal_inspection(RARE_LONG_GAP, 60.0, n, np.random.default_rng(n))
+    lengths, waits = _ref_inspection(RARE_LONG_GAP, 60.0, n, np.random.default_rng(n))
+    assert np.array_equal(out.covering_length, lengths)
+    assert np.array_equal(out.residual_wait, waits)
+
+
+@pytest.mark.parametrize("dist,horizon", [*INTERARRIVALS, (RARE_LONG_GAP, 60.0)],
+                         ids=[*FAMILY_IDS, "rare-long-gap"])
+def test_stationary_counts_match_per_sample_reference(dist, horizon):
+    n = 45_000      # past two chunk boundaries, each with its own lead column
+    window = horizon / 3
+    counts = sb.stationary_renewal_arrivals(dist, window, n, np.random.default_rng(n))
+    assert np.array_equal(counts, _ref_stationary(dist, window, n, np.random.default_rng(n)))
+
+
 def test_stationary_phase_matches_per_family_reference():
-    # uniform01 is left out: its transform is drawn by the beta sampler now
     for i, (dist, _) in enumerate(INTERARRIVALS):
-        if getattr(dist, "kind", None) == "uniform01":
-            continue
         g1, g2 = np.random.default_rng(i), np.random.default_rng(i)
         want = _ref_draw_size_biased(dist, g2, 5000)
         assert np.array_equal(sb.sample_stationary_phase(dist, 5000, g1), g2.random(5000) * want)
