@@ -202,14 +202,15 @@ def merge_atoms(xs, ps):
     ps = np.asarray(ps, dtype=float)
     if xs.size:
         lo = xs.min()
-        with np.errstate(invalid="ignore"):
-            span = xs.max() - lo      # NaN or inf when a point is not finite
+        with np.errstate(invalid="ignore", over="ignore"):
+            span = xs.max() - lo      # NaN or inf when a point is not finite or it overflows
         if span < xs.size and np.array_equal(xs, np.rint(xs)):
             return _merge_lattice(xs, ps, lo, int(span))
     order = np.argsort(xs, kind="stable")
     xs, ps = xs[order], ps[order]
-    # inf - inf is NaN here; callers refuse non-finite supports afterwards
-    with np.errstate(invalid="ignore"):
+    # inf - inf is NaN here, and an overflowing gap is inf, which still opens an
+    # atom; callers refuse non-finite supports afterwards
+    with np.errstate(invalid="ignore", over="ignore"):
         # a wider gap opens an atom ("not <=", so a NaN gap does too)
         new = ~(np.diff(xs, prepend=-np.inf) <= ATOM_MERGE_TOL)
         # a chain of smaller gaps can still run past the tolerance from its
@@ -264,7 +265,10 @@ class DiscreteDist(_Sampled):
             raise ValueError("atoms must be two equal-length nonempty vectors")
         if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
             raise ValueError("support points and probabilities must be finite")
-        if np.any(np.diff(xs) <= 0):
+        if not math.isfinite(float(xs[-1]) - float(xs[0])):
+            raise SupportOverflow(f"support from {xs[0]:.4g} to {xs[-1]:.4g} spans past the "
+                                  "double range")
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("support points must be strictly increasing")
         if not self.signed and xs[0] < 0:
             raise ValueError(f"negative support point {xs[0]} in unsigned distribution")

@@ -47,7 +47,11 @@ class ZeroMeanTerm(SizeBiasError):
 
 
 class SupportOverflow(SizeBiasError):
-    """Convolution support would exceed the configured atom cap."""
+    """A result would pass a work cap or the double range.
+
+    Raised before allocating past an atom, grid, cell or work cap, and
+    where a support, a sum of means or a moment overflows.
+    """
 
 
 class ZeroInSupport(SizeBiasError):
@@ -129,7 +133,13 @@ class NoSampler(SizeBiasError):
 # bounds
 
 class DomainError(SizeBiasError):
-    """Evaluation point on the wrong side of the mean."""
+    """An input outside the domain a computation is defined or computable on.
+
+    An evaluation point on the wrong side of the mean, a base, ratio,
+    horizon or window that is not a positive finite number, a non-finite
+    population value, a mean the delay grid cannot march, or a rate,
+    theta sum or orbit grid whose terms underflow or overflow.
+    """
 
 
 class BoundViolated(SizeBiasError):

@@ -49,47 +49,46 @@ def _check_cells(rows, width, span) -> None:
                               f"arrival cells, over {ARRIVAL_CELL_CAP}")
 
 
-def _arrival_buffer(dist, rows, span) -> np.ndarray:
-    """An empty rows x k0 buffer, k0 gaps per row: enough for nearly every row to pass span.
+def _arrival_chunks(dist, rng, n, span, lead=None):
+    """Yield (lo, cum) per chunk of up to _CHUNK rows: cumulative arrival times past span.
 
-    Raises SupportOverflow, before allocating, past ARRIVAL_CELL_CAP cells.
+    Checks the law and ARRIVAL_CELL_CAP, then draws each chunk into one chunk x k0
+    buffer, k0 gaps a row (enough for nearly every row), and sums it in place;
+    ``lead(dist, rows, rng)``, when given, draws the first arrivals before the gaps.
+    Rows still short of span get k0 more arrivals a round, those rows alone, each
+    width checked against the cap first; the rounds are joined once, inf-padded.
     """
     mean = _interarrival_mean(dist)
     k0 = span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8
-    _check_cells(rows, k0, span)
-    return np.empty((rows, int(k0)))
-
-
-def _cum_arrivals(dist, rng, n, span, lead=None, buf=None):
-    """Cumulative arrival times per row, guaranteed to pass span.
-
-    The gaps are drawn into the first n rows of ``buf`` (a new buffer
-    when None) and summed there in place.  ``lead`` optionally supplies
-    the first arrival per row; later gaps are ordinary interarrivals.
-    Rows still short of span get k0 more arrivals in a wider copy; every
-    allocation is checked against ARRIVAL_CELL_CAP before it is made.
-    """
-    if buf is None:
-        buf = _arrival_buffer(dist, n, span)
-    cum = buf[:n]
-    dist.fill(rng, cum)
-    if lead is not None:
-        cum[:, 0] = lead
-    np.cumsum(cum, axis=1, out=cum)
-    k0 = cum.shape[1]
-    while (last := cum[:, -1]).min() <= span:
-        short = last <= span
-        width = cum.shape[1] + k0
-        _check_cells(n, width, span)
-        extra = dist.sample(rng, (int(short.sum()), k0))
-        np.cumsum(extra, axis=1, out=extra)
-        extra += last[short][:, None]
-        wide = np.empty((n, width))
-        wide[:, :-k0] = cum
-        wide[:, -k0:] = np.inf
-        wide[short, -k0:] = extra
-        cum = wide
-    return cum
+    _check_cells(min(n, _CHUNK), k0, span)
+    buf = np.empty((min(n, _CHUNK), int(k0)))
+    k0 = buf.shape[1]
+    for lo in range(0, n, _CHUNK):
+        rows = min(_CHUNK, n - lo)
+        first = None if lead is None else lead(dist, rows, rng)
+        cum = buf[:rows]
+        dist.fill(rng, cum)
+        if first is not None:
+            cum[:, 0] = first
+        np.cumsum(cum, axis=1, out=cum)
+        last = cum[:, -1].copy()
+        rounds = []
+        while last.min() <= span:
+            short = np.flatnonzero(last <= span)
+            _check_cells(rows, k0 * (len(rounds) + 2), span)
+            extra = dist.sample(rng, (short.size, k0))
+            np.cumsum(extra, axis=1, out=extra)
+            extra += last[short, None]
+            last[short] = extra[:, -1]
+            rounds.append((short, extra))
+        if rounds:
+            cum = np.full((rows, k0 * (len(rounds) + 1)), np.inf)
+            cum[:, :k0] = buf[:rows]
+            for r, (short, extra) in enumerate(rounds, 1):
+                cum[short, r * k0 : (r + 1) * k0] = extra
+            del rounds, short, extra
+        yield lo, cum
+        del cum     # a joined matrix must not stay alive through the next chunk's draw
 
 
 def _count_at_most(cum, t) -> np.ndarray:
@@ -130,17 +129,15 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
         raise HorizonTooShort(f"horizon {horizon} below 50 interarrival means")
     lengths = np.empty(n)
     waits = np.empty(n)
-    buf = _arrival_buffer(interarrival, min(n, _CHUNK), horizon)
-    for lo in range(0, n, _CHUNK):
-        rows = min(_CHUNK, n - lo)
-        cum = _cum_arrivals(interarrival, rng, rows, horizon, buf=buf)
+    for lo, cum in _arrival_chunks(interarrival, rng, n, horizon):
+        rows = len(cum)
         t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
         j = _count_at_most(cum, t)
         nxt = cum[np.arange(rows), j]
         prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
         lengths[lo : lo + rows] = nxt - prev
         waits[lo : lo + rows] = nxt - t
-        del cum     # a widened copy must not stay alive through the next chunk's draw
+        del cum     # let a joined matrix go before the next chunk is drawn
     bad = np.flatnonzero(~((waits >= 0.0) & (waits <= lengths + 1e-12)))
     if bad.size:
         raise ValueError(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
@@ -168,12 +165,9 @@ def stationary_renewal_arrivals(interarrival, window_t: float, n: int, rng) -> n
     if not (math.isfinite(window_t) and window_t > 0):
         raise DomainError(f"window must be positive and finite, got {window_t}")
     counts = np.empty(n, dtype=np.int64)
-    buf = _arrival_buffer(interarrival, min(n, _CHUNK), window_t)
-    for lo in range(0, n, _CHUNK):
-        rows = min(_CHUNK, n - lo)
-        lead = sample_stationary_phase(interarrival, rows, rng)
-        counts[lo : lo + rows] = _count_at_most(
-            _cum_arrivals(interarrival, rng, rows, window_t, lead=lead, buf=buf), window_t)
+    for lo, cum in _arrival_chunks(interarrival, rng, n, window_t, sample_stationary_phase):
+        counts[lo : lo + len(cum)] = _count_at_most(cum, window_t)
+        del cum     # let a joined matrix go before the next chunk is drawn
     return counts
 
 
@@ -247,8 +241,12 @@ def skorohod_exit_pmf(sc: SkorohodCoupling) -> DiscreteDist:
     u, v, p = np.array(sc.uv_atoms).T
     go = (u != 0.0) | (v != 0.0)    # a (0, 0) atom stays put: mass p at 0
     u, v, p, p0 = u[go], v[go], p[go], p[~go]
+    with np.errstate(over="ignore"):
+        w = u + v
+    if not np.isfinite(w).all():
+        raise SupportOverflow(f"interval length u + v = {w.max()} leaves the double range")
     xs, ps = merge_atoms(np.concatenate([-u, v, np.zeros(p0.size)]),
-                         np.concatenate([p * v / (u + v), p * u / (u + v), p0]))
+                         np.concatenate([p * v / w, p * u / w, p0]))
     return DiscreteDist(xs, ps / ps.sum(), signed=True)
 
 

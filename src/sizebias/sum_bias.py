@@ -44,7 +44,11 @@ class IndependentSum:
 def index_distribution(s: IndependentSum) -> np.ndarray:
     """Which term gets biased: P(I=i) proportional to the term means."""
     means = np.array([t.mean() for t in s.terms])
-    return means / means.sum()
+    with np.errstate(over="ignore"):
+        total = means.sum()
+    if not np.isfinite(total):
+        raise SupportOverflow("the term means sum past the double range")
+    return means / total
 
 
 def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc) -> DiscreteDist:
@@ -55,8 +59,11 @@ def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc) -> DiscreteDist:
     n = d1.xs.size * d2.xs.size
     if n > CONV_ATOM_CAP:
         raise SupportOverflow(f"outer {ufunc.__name__} would touch {n} atoms, cap {CONV_ATOM_CAP}")
-    xs, ps = merge_atoms(ufunc.outer(d1.xs, d2.xs).ravel(),
-                         np.multiply.outer(d1.ps, d2.ps).ravel())
+    with np.errstate(over="ignore"):
+        xs = ufunc.outer(d1.xs, d2.xs).ravel()
+    if not np.isfinite(xs).all():
+        raise SupportOverflow(f"outer {ufunc.__name__} of the supports leaves the double range")
+    xs, ps = merge_atoms(xs, np.multiply.outer(d1.ps, d2.ps).ravel())
     return DiscreteDist(xs, ps / ps.sum(), signed=d1.signed or d2.signed,
                         tail_bound=d1.tail_bound + d2.tail_bound)
 

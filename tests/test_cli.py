@@ -503,7 +503,12 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                  ["berg", "--sign", "1", "--c", "1e26"],
                  ["dickman", "--a", "1e-305"],
                  # x^3 overflows at the top atoms, which carry no mass: inf * 0 is NaN
-                 ["berg", "--sign", "1", "--c", "2e8"])
+                 ["berg", "--sign", "1", "--c", "2e8"],
+                 # supports, sums of means and outer sums or products past the double range
+                 ["transform", "--dist", "atoms:1e308=0.5,-1e308=0.5"],
+                 ["sum", "--dist", "atoms:1e308=1", "--dist", "atoms:1e308=1"],
+                 ["product", "--dist", "atoms:1e200=1", "--dist", "atoms:1e200=1"],
+                 ["skorohod", "--dist", "atoms:-1e308=0.5,1e308=0.5"])
     # tabulations and grids that would not fit in memory, or take minutes to fill
     unbounded = (["transform", "--dist", "geometric:1e-300"],
                  ["transform", "--dist", "geometric:1e-9"],

@@ -13,6 +13,8 @@ RNG = np.random.default_rng(np.random.Philox(20240821))
 # 151 gaps per row reach 60 only past a gap of 100: about a fifth of the rows draw none
 # and take the widening branch
 RARE_LONG_GAP = sb.DiscreteDist(np.array([0.01, 100.0]), np.array([0.99, 0.01]))
+# at horizon 100 most rows creep on 0.01 gaps, so rows take about 30 widening rounds
+CREEPING_GAP = sb.DiscreteDist(np.array([0.01, 1000.0]), np.array([0.999, 0.001]))
 
 
 def random_mean_zero(rng, with_zero=False):
@@ -75,6 +77,8 @@ def test_coupling_rejects_bad_input():
                                              np.array([0.5, 0.5])))
     with pytest.raises(ConstantInput):
         sb.skorohod_coupling(sb.DiscreteDist(np.array([0.0]), np.array([1.0])))
+    with pytest.raises(SupportOverflow, match=r"u \+ v = inf"):
+        sb.skorohod_exit_pmf(sb.SkorohodCoupling(0.5, 0.0, 0.5, ((1e308, 1e308, 1.0),)))
 
 
 def test_coupling_validation():
@@ -91,8 +95,8 @@ def test_inspection_invariant_is_checked(monkeypatch):
     # unsorted arrivals give a negative wait, then a wait past a negative
     # interval; sorted ones never break 0 <= wait <= length
     for row in ((0.95, 0.05, 2.0), (0.97, 0.96, 0.01, 2.0)):
-        monkeypatch.setattr(T, "_cum_arrivals", lambda dist, rng, n, span, row=row, **_:
-                            np.tile(np.array(row) * span, (n, 1)))
+        monkeypatch.setattr(T, "_arrival_chunks", lambda dist, rng, n, span, row=row, **_:
+                            iter([(0, np.tile(np.array(row) * span, (n, 1)))]))
         with pytest.raises(ValueError, match="exceeds interval"):
             sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 100.0, 5,
                                            np.random.default_rng(0))
@@ -219,13 +223,13 @@ def test_arrival_buffer_capped_before_allocating():
     try:
         with pytest.raises(SupportOverflow):
             sb.simulate_renewal_inspection(sb.NamedDist("uniform01", ()), 1e12, 10, rng)
-        # 70,300 rows of ~1424 arrivals: just past the cap
+        # one chunk of 20,000 rows of ~5,746 arrivals: past the cap
         with pytest.raises(SupportOverflow):
-            T._cum_arrivals(expo, rng, 70_300, 1000.0)
+            next(T._arrival_chunks(expo, rng, T._CHUNK, 4_600.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the smaller of the two buffers alone would take 800 MB
+    # the smaller of the two buffers alone would take 900 MB
     assert peak < 1_000_000
 
 
@@ -233,7 +237,7 @@ def test_widening_is_capped_before_allocating(monkeypatch):
     # 1,000 rows of 151 gaps fit under the cap; the first widening, to 302 gaps, does not
     monkeypatch.setattr(T, "ARRIVAL_CELL_CAP", 200_000)
     with pytest.raises(SupportOverflow, match=r"about 3\.02e\+05 arrival cells"):
-        T._cum_arrivals(RARE_LONG_GAP, np.random.default_rng(0), 1_000, 60.0)
+        next(T._arrival_chunks(RARE_LONG_GAP, np.random.default_rng(0), 1_000, 60.0))
 
 
 def test_inspection_holds_one_arrival_buffer():
@@ -249,6 +253,21 @@ def test_inspection_holds_one_arrival_buffer():
         tracemalloc.stop()
     # every chunk draws into the one _CHUNK x k0 buffer; no second one is alive
     assert peak <= 1.15 * T._CHUNK * k0 * 8
+
+
+def test_widened_rows_are_joined_once():
+    import tracemalloc
+    sb.simulate_renewal_inspection(CREEPING_GAP, 100.0, 5, np.random.default_rng(0))  # lazy imports
+    width = next(T._arrival_chunks(CREEPING_GAP, np.random.default_rng(2), 500, 100.0))[1].shape[1]
+    tracemalloc.start()
+    try:
+        sb.simulate_renewal_inspection(CREEPING_GAP, 100.0, 500, np.random.default_rng(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the joined matrix, plus the buffer and the rounds (a sixth of its cells); copying
+    # the whole matrix at every widening held two at once
+    assert peak <= 1.3 * 8 * 500 * width
 
 
 # -------------------------------------------------------------------
@@ -393,18 +412,22 @@ def test_inspection_columns_match_per_sample_reference(dist, horizon):
 
 
 def test_widened_inspection_matches_per_sample_reference(monkeypatch):
-    monkeypatch.setattr(T, "_CHUNK", 1_000)
-    n = 3_000
-    out = sb.simulate_renewal_inspection(RARE_LONG_GAP, 60.0, n, np.random.default_rng(n))
-    lengths, waits = _ref_inspection(RARE_LONG_GAP, 60.0, n, np.random.default_rng(n))
-    assert np.array_equal(out.covering_length, lengths)
-    assert np.array_equal(out.residual_wait, waits)
+    for dist, horizon, chunk in ((RARE_LONG_GAP, 60.0, 1_000), (CREEPING_GAP, 100.0, 300)):
+        monkeypatch.setattr(T, "_CHUNK", chunk)
+        n = 3 * chunk
+        out = sb.simulate_renewal_inspection(dist, horizon, n, np.random.default_rng(n))
+        lengths, waits = _ref_inspection(dist, horizon, n, np.random.default_rng(n))
+        assert np.array_equal(out.covering_length, lengths)
+        assert np.array_equal(out.residual_wait, waits)
 
 
-@pytest.mark.parametrize("dist,horizon", [*INTERARRIVALS, (RARE_LONG_GAP, 60.0)],
-                         ids=[*FAMILY_IDS, "rare-long-gap"])
-def test_stationary_counts_match_per_sample_reference(dist, horizon):
-    n = 45_000      # past two chunk boundaries, each with its own lead column
+@pytest.mark.parametrize("dist,horizon,chunk",
+                         [*((d, h, T._CHUNK) for d, h in INTERARRIVALS),
+                          (RARE_LONG_GAP, 60.0, T._CHUNK), (CREEPING_GAP, 100.0, 400)],
+                         ids=[*FAMILY_IDS, "rare-long-gap", "creeping-gap"])
+def test_stationary_counts_match_per_sample_reference(monkeypatch, dist, horizon, chunk):
+    monkeypatch.setattr(T, "_CHUNK", chunk)
+    n = 9 * chunk // 4      # past two chunk boundaries, each with its own lead column
     window = horizon / 3
     counts = sb.stationary_renewal_arrivals(dist, window, n, np.random.default_rng(n))
     assert np.array_equal(counts, _ref_stationary(dist, window, n, np.random.default_rng(n)))
