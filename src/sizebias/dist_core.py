@@ -150,10 +150,20 @@ def poisson_reach(lam: float) -> int:
     return int(lam + 20 * math.sqrt(lam)) + 60
 
 
+def check_work(count, cap, unit: str, what: str) -> None:
+    """Refuse, before it is allocated or run, work of more than cap units: every cap's check."""
+    if not count <= cap:
+        try:
+            shown = f"{count:.4g}"
+        except OverflowError:       # an int past the double range, as C(n, m) can be
+            from decimal import Decimal
+            shown = f"{Decimal(count):.4g}"
+        raise SupportOverflow(f"{what} needs {shown} {unit}, over {cap}")
+
+
 def check_points(n, what: str) -> None:
     """Refuse, before allocating, a tabulation of more than GRID_POINT_CAP points."""
-    if not n <= GRID_POINT_CAP:
-        raise SupportOverflow(f"{what} needs {n:.4g} points, over {GRID_POINT_CAP}")
+    check_work(n, GRID_POINT_CAP, "points", what)
 
 
 def poisson_pmf(lam: float, hi: int) -> np.ndarray:

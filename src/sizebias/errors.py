@@ -108,10 +108,6 @@ class BadSubsetSize(SizeBiasError):
     pass
 
 
-class TooLargeToEnumerate(SizeBiasError):
-    pass
-
-
 # simulation / embedding
 
 class HorizonTooShort(SizeBiasError):

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dist_core import DiscreteDist, GridDensity, check_points
+from .dist_core import DiscreteDist, GridDensity, check_points, check_work
 from .errors import (
     DomainError,
     GapInSupport,
     GridTooCoarse,
     NonIntegerJump,
-    SupportOverflow,
     TruncationTooSevere,
     ZeroAtOrigin,
     ZeroMean,
@@ -34,13 +33,6 @@ NEG_MASS_TOL = 1e-9        # extracted mass below -this means "not divisible"
 EXAMINE_TAIL = 1e-6        # skip indices once this little input mass remains
 RECURSION_WORK_CAP = 2_000_000_000  # recursions past this many multiply-adds are refused
 SERIES_KMAX = 256          # extractions to at least this index divide power series by FFT
-
-
-def _check_work(n, what: str) -> None:
-    """Refuse, before allocating, a recursion to index n: its n(n+1)/2 multiply-adds."""
-    work = n * (n + 1) / 2
-    if not work <= RECURSION_WORK_CAP:
-        raise SupportOverflow(f"{what} needs {work:.4g} multiply-adds, over {RECURSION_WORK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +121,9 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
     bad = ~(np.abs(ys - ks) <= 1e-12) | (ks < 1)      # a NaN size counts as bad
     if bad.any():
         raise NonIntegerJump(f"jump size {ys[bad][0]} is not a positive integer")
-    check_points(N + 1, f"compound-Poisson pmf on 0..{N}")
-    _check_work(N, f"compound-Poisson pmf on 0..{N}")
+    what = f"compound-Poisson pmf on 0..{N}"
+    check_points(N + 1, what)
+    check_work(N * (N + 1) / 2, RECURSION_WORK_CAP, "multiply-adds", what)
     # a jump past N acts only through f(0); jumps that round to one site add their rates
     near = ks <= N
     fy = np.bincount(ks[near].astype(int), weights=ks[near] * rs[near] / levy.a, minlength=2)
@@ -165,8 +158,9 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     exact = fX.tail_bound == 0.0
     K = int(ks[-1])
     kmax = 2 * K + 10 if exact else K
-    check_points(kmax + 1, f"increment extraction to {kmax}")
-    _check_work(kmax, f"increment extraction to {kmax}")
+    what = f"increment extraction to {kmax}"
+    check_points(kmax + 1, what)
+    check_work(kmax * (kmax + 1) / 2, RECURSION_WORK_CAP, "multiply-adds", what)
     f = np.zeros(kmax + 1)
     f[ks] = fX.ps
     if f[0] <= 0:

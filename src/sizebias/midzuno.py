@@ -16,15 +16,15 @@ from math import comb
 
 import numpy as np
 
+from .dist_core import check_work
 from .errors import (
     BadSampleSize,
     BadSubsetSize,
     DomainError,
-    TooLargeToEnumerate,
     ZeroDenominator,
 )
 
-ENUM_CAP = 20
+ENUM_CAP = 1_847_560   # enumerations past this many index cells are refused (n = 20, m = 10)
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,12 @@ def exact_expectation(p: Population, m: int) -> float:
     Equals sum(y)/sum(x) identically; the cancellation is the whole
     point of the design.
     """
-    if p.n > ENUM_CAP:
-        raise TooLargeToEnumerate(f"n = {p.n} exceeds the enumeration cap {ENUM_CAP}")
     if not 1 <= m <= p.n:
         raise BadSampleSize(f"sample size {m} outside 1..{p.n}")
-    # one row of unit indices per subset: at ENUM_CAP (n = 20, m = 10) the index
-    # matrix and one gathered value array peak at about 33 MB
+    # one row of unit indices per subset: at ENUM_CAP the index matrix and one
+    # gathered value array peak at about 33 MB
     count = comb(p.n, m)
+    check_work(count * m, ENUM_CAP, "index cells", f"enumeration of C({p.n}, {m}) subsets")
     idx = np.fromiter(chain.from_iterable(combinations(range(p.n), m)), np.intp,
                       count=count * m).reshape(count, m)
     sx = p.xs[idx].sum(axis=1)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import (_FAMILIES, DiscreteDist, NamedDist, closed_form_size_bias, merge_atoms,
-                        named_mean, row_blocks, size_bias_discrete)
+from . import sum_bias
+from .dist_core import (_FAMILIES, DiscreteDist, NamedDist, check_work, closed_form_size_bias,
+                        merge_atoms, named_mean, row_blocks, size_bias_discrete)
 from .errors import (ConstantInput, DomainError, HorizonTooShort, NonzeroMean, NoSampler,
                      SupportOverflow, ZeroMean)
 
@@ -43,12 +44,6 @@ def _interarrival_mean(dist) -> float:
     return mean
 
 
-def _check_cells(rows, width, span) -> None:
-    if not rows * width <= ARRIVAL_CELL_CAP:
-        raise SupportOverflow(f"{rows} streams to {span:.4g} need about {rows * width:.3g} "
-                              f"arrival cells, over {ARRIVAL_CELL_CAP}")
-
-
 def _arrival_chunks(dist, rng, n, span, lead=None):
     """Yield (lo, cum) per chunk of up to _CHUNK rows: cumulative arrival times past span.
 
@@ -60,7 +55,8 @@ def _arrival_chunks(dist, rng, n, span, lead=None):
     """
     mean = _interarrival_mean(dist)
     k0 = span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8
-    _check_cells(min(n, _CHUNK), k0, span)
+    check_work(min(n, _CHUNK) * k0, ARRIVAL_CELL_CAP, "arrival cells",
+               f"drawing {min(n, _CHUNK)} streams to {span:.4g}")
     buf = np.empty((min(n, _CHUNK), int(k0)))
     k0 = buf.shape[1]
     for lo in range(0, n, _CHUNK):
@@ -75,7 +71,8 @@ def _arrival_chunks(dist, rng, n, span, lead=None):
         rounds = []
         while last.min() <= span:
             short = np.flatnonzero(last <= span)
-            _check_cells(rows, k0 * (len(rounds) + 2), span)
+            check_work(rows * k0 * (len(rounds) + 2), ARRIVAL_CELL_CAP, "arrival cells",
+                       f"drawing {rows} streams to {span:.4g}")
             extra = dist.sample(rng, (short.size, k0))
             np.cumsum(extra, axis=1, out=extra)
             extra += last[short, None]
@@ -214,6 +211,9 @@ def skorohod_coupling(x: DiscreteDist) -> SkorohodCoupling:
         raise ConstantInput("constant laws embed trivially, nothing to build")
     neg = x.xs < 0
     pos = x.xs > 0
+    # both branches land on the grid supp(A) x supp(B), refused here before it is built
+    check_work(np.count_nonzero(neg) * np.count_nonzero(pos), sum_bias.CONV_ATOM_CAP, "atoms",
+               "(u, v) coupling grid")
     zero = ~neg & ~pos
     p_minus = float(x.ps[neg].sum())
     p_zero = float(x.ps[zero].sum())
@@ -222,8 +222,7 @@ def skorohod_coupling(x: DiscreteDist) -> SkorohodCoupling:
     b = DiscreteDist(x.xs[pos], x.ps[pos] / p_plus)
     a_star = size_bias_discrete(a)
     b_star = size_bias_discrete(b)
-    # supp(A*) = supp(A) and supp(B*) = supp(B), so both branches land on
-    # the grid supp(A) x supp(B), listed in sorted (u, v) order
+    # supp(A*) = supp(A) and supp(B*) = supp(B): the grid, in sorted (u, v) order
     u, v = np.meshgrid(a.xs, b.xs, indexing="ij")
     p = np.outer(p_plus * a_star.ps, b.ps) + np.outer(p_minus * a.ps, b_star.ps)
     atoms = np.column_stack([u.ravel(), v.ravel(), p.ravel()]).tolist()

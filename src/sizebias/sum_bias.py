@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import DiscreteDist, merge_atoms, size_bias_discrete
+from .dist_core import DiscreteDist, check_work, merge_atoms, size_bias_discrete
 from .errors import (
     SupportOverflow,
     ZeroInSupport,
@@ -56,9 +56,7 @@ def _combine(d1: DiscreteDist, d2: DiscreteDist, ufunc) -> DiscreteDist:
 
     Truncated inputs lose at most the sum of their tail bounds.
     """
-    n = d1.xs.size * d2.xs.size
-    if n > CONV_ATOM_CAP:
-        raise SupportOverflow(f"outer {ufunc.__name__} would touch {n} atoms, cap {CONV_ATOM_CAP}")
+    check_work(d1.xs.size * d2.xs.size, CONV_ATOM_CAP, "atoms", f"outer {ufunc.__name__}")
     with np.errstate(over="ignore"):
         xs = ufunc.outer(d1.xs, d2.xs).ravel()
     if not np.isfinite(xs).all():

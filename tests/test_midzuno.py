@@ -1,11 +1,12 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 import sizebias as sb
 from sizebias.errors import (
-    BadSampleSize, BadSubsetSize, DomainError, TooLargeToEnumerate, ZeroDenominator,
+    BadSampleSize, BadSubsetSize, DomainError, SupportOverflow, ZeroDenominator,
 )
 
 RNG = np.random.default_rng(np.random.Philox(20240820))
@@ -143,9 +144,24 @@ def test_error_paths():
     zero = sb.Population(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ZeroDenominator):
         sb.ratio_estimate(zero, (0,))
+    # 5,200,300 subsets of 12 index cells each
     big = sb.Population(np.ones(25), np.ones(25))
-    with pytest.raises(TooLargeToEnumerate):
-        sb.exact_expectation(big, 3)
+    with pytest.raises(SupportOverflow, match=r"C\(25, 12\) subsets needs 6\.24e\+07 index cells"):
+        sb.exact_expectation(big, 12)
+    # C(3000, 1500) is an int past the double range: compared and printed all the same
+    huge = sb.Population(np.ones(3000), np.ones(3000))
+    with pytest.raises(SupportOverflow, match=r"needs 2\.688e\+904 index cells"):
+        sb.exact_expectation(huge, 1500)
+
+
+def test_enumeration_cap_counts_index_cells():
+    from sizebias.midzuno import ENUM_CAP
+    # every enumeration of at most 20 units fits; n = 20 at m = 10 and 11 meets the cap exactly
+    assert max(comb(n, m) * m for n in range(2, 21) for m in range(1, n + 1)) == ENUM_CAP
+    # 25 units taken 3 at a time are 6,900 index cells, well under the cap
+    rng = np.random.default_rng(3)
+    p = sb.Population(rng.uniform(0.1, 2.0, 25), rng.normal(size=25))
+    assert sb.exact_expectation(p, 3) == pytest.approx(p.ys.sum() / p.xs.sum(), abs=1e-12)
 
 
 def test_zero_x_unit_edge_cases():

@@ -12,6 +12,8 @@ from sizebias.errors import (ConstantInput, DomainError, HorizonTooShort, Nonzer
 RNG = np.random.default_rng(np.random.Philox(20240821))
 # 151 gaps per row reach 60 only past a gap of 100: about a fifth of the rows draw none
 # and take the widening branch
+# mean zero: -1..-1001 against 1..999 and 2001, each atom with mass 1/2001
+WIDE_MEAN_ZERO = [(float(x), 1 / 2001) for x in [*range(-1001, 0), *range(1, 1000), 2001]]
 RARE_LONG_GAP = sb.DiscreteDist(np.array([0.01, 100.0]), np.array([0.99, 0.01]))
 # at horizon 100 most rows creep on 0.01 gaps, so rows take about 30 widening rounds
 CREEPING_GAP = sb.DiscreteDist(np.array([0.01, 1000.0]), np.array([0.999, 0.001]))
@@ -79,6 +81,30 @@ def test_coupling_rejects_bad_input():
         sb.skorohod_coupling(sb.DiscreteDist(np.array([0.0]), np.array([1.0])))
     with pytest.raises(SupportOverflow, match=r"u \+ v = inf"):
         sb.skorohod_exit_pmf(sb.SkorohodCoupling(0.5, 0.0, 0.5, ((1e308, 1e308, 1.0),)))
+
+
+def test_coupling_grid_capped_before_allocating(monkeypatch):
+    import tracemalloc
+    import sizebias.sum_bias as SB
+    # 1,001 negative and 1,000 positive atoms: a 1,001,000-cell (u, v) grid
+    law = sb.DiscreteDist.from_pairs(WIDE_MEAN_ZERO, signed=True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportOverflow, match=r"coupling grid needs 1\.001e\+06 atoms"):
+            sb.skorohod_coupling(law)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one of the grid's three columns alone would take 8 MB
+    assert peak < 1_000_000
+    # the grid shares the outer-product cap: 3 x 2 cells pass at 6 and not at 5
+    small = sb.DiscreteDist.from_pairs([(-3.0, 0.2), (-2.0, 0.2), (-1.0, 0.2), (2.0, 0.2),
+                                        (4.0, 0.2)], signed=True)
+    monkeypatch.setattr(SB, "CONV_ATOM_CAP", 6)
+    assert len(sb.skorohod_coupling(small).uv_atoms) == 6
+    monkeypatch.setattr(SB, "CONV_ATOM_CAP", 5)
+    with pytest.raises(SupportOverflow):
+        sb.skorohod_coupling(small)
 
 
 def test_coupling_validation():
@@ -236,7 +262,7 @@ def test_arrival_buffer_capped_before_allocating():
 def test_widening_is_capped_before_allocating(monkeypatch):
     # 1,000 rows of 151 gaps fit under the cap; the first widening, to 302 gaps, does not
     monkeypatch.setattr(T, "ARRIVAL_CELL_CAP", 200_000)
-    with pytest.raises(SupportOverflow, match=r"about 3\.02e\+05 arrival cells"):
+    with pytest.raises(SupportOverflow, match=r"needs 3\.02e\+05 arrival cells"):
         next(T._arrival_chunks(RARE_LONG_GAP, np.random.default_rng(0), 1_000, 60.0))
 
 
