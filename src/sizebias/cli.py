@@ -75,7 +75,9 @@ class RunConfig:
     @classmethod
     def from_namespace(cls, args) -> "RunConfig":
         skip = {"command", "seed", "format", "out", "func"}
-        params = tuple(sorted((k, v) for k, v in vars(args).items() if k not in skip))
+        # a repeated option's values as a tuple, so the record stays hashable
+        params = tuple(sorted((k, tuple(v) if isinstance(v, list) else v)
+                              for k, v in vars(args).items() if k not in skip))
         return cls(args.command, args.seed, args.format, args.out, params)
 
 
@@ -467,7 +469,7 @@ def main(argv=None) -> int:
         # reader went away; silence the shutdown flush and bail quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         # SizeBiasError is a ValueError; the writer raises one on non-finite output
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .errors import (
     NoSampler,
     NonpositiveScale,
     NoSuccesses,
+    SizeBiasError,
     SupportOverflow,
     ZeroMean,
 )
@@ -737,11 +738,39 @@ def dist_to_json(d) -> dict:
     raise TypeError(f"cannot serialize {type(d).__name__}")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and _is_number(v[0]) and _is_number(v[1])
+
+
+def json_number(obj: dict, key: str, default=None) -> float:
+    """obj[key] (or default when it is absent) as a float; SizeBiasError naming the field."""
+    v = obj.get(key, default)
+    if not _is_number(v):
+        raise SizeBiasError(f"expected a number in field {key!r}")
+    return float(v)
+
+
+def json_list(obj: dict, key: str, pairs: bool = False) -> list:
+    """obj[key] as a list of numbers, or of [x, y] pairs of them; SizeBiasError naming the field."""
+    v = obj.get(key)
+    if not (isinstance(v, list) and all(map(_is_pair if pairs else _is_number, v))):
+        raise SizeBiasError(f"expected a list of {'[x, y] pairs' if pairs else 'numbers'} "
+                            f"in field {key!r}")
+    return v
+
+
 def dist_from_json(obj: dict, signed=False):
-    if "atoms" in obj:
-        return DiscreteDist.from_pairs([(x, p) for x, p in obj["atoms"]], signed=signed)
-    if "grid" in obj:
+    """{"atoms": [[x, p], ...]} or {"grid": {"h": h, "values": [...], "atom0": p0}}."""
+    if isinstance(obj, dict) and "atoms" in obj:
+        return DiscreteDist.from_pairs(json_list(obj, "atoms", pairs=True), signed=signed)
+    if isinstance(obj, dict) and "grid" in obj:
         g = obj["grid"]
-        return GridDensity(float(g["h"]), np.asarray(g["values"], dtype=float),
-                           atom0=float(g.get("atom0", 0.0)), mass_tol=1e-3)
-    raise ValueError("expected an object with 'atoms' or 'grid'")
+        if not isinstance(g, dict):
+            raise SizeBiasError("expected an object with 'h' and 'values' in field 'grid'")
+        return GridDensity(json_number(g, "h"), np.asarray(json_list(g, "values"), dtype=float),
+                           atom0=json_number(g, "atom0", 0.0), mass_tol=1e-3)
+    raise SizeBiasError("expected an object with 'atoms' or 'grid'")

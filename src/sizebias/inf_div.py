@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dist_core import DiscreteDist, GridDensity, check_points, check_work
+from .dist_core import DiscreteDist, GridDensity, check_points, check_work, json_list, json_number
 from .errors import (
     DomainError,
     GapInSupport,
     GridTooCoarse,
     NonIntegerJump,
+    SizeBiasError,
     TruncationTooSevere,
     ZeroAtOrigin,
     ZeroMean,
@@ -48,6 +49,10 @@ class LevyRepr:
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple((float(y), float(r)) for y, r in self.jumps))
+        bad = [v for v in (self.a, *(x for jump in self.jumps for x in jump))
+               if not math.isfinite(v)]
+        if bad:
+            raise DomainError(f"mean, jump sizes and rates must be finite, got {bad[0]}")
         if self.a <= 0:
             raise ValueError(f"mean must be positive, got {self.a}")
         if not 0.0 <= self.alpha0 < 1.0:
@@ -170,9 +175,11 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
         raise ZeroMean("mean must be positive")
     # F Y/s = F'/a, F the pgf of fX (Katti 1967); rhs holds F'/a
     rhs = np.arange(1, kmax + 1) * f[1:] / a
-    fy = _series_quotient(f, rhs) if kmax >= SERIES_KMAX else None
-    if fy is None:
-        fy = _katti_loop(f, rhs)
+    # 1/f(0) may overflow the coefficients; a non-finite one settles no verdict (below)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fy = _series_quotient(f, rhs) if kmax >= SERIES_KMAX else None
+        if fy is None:
+            fy = _katti_loop(f, rhs)
     if exact:
         examined = np.arange(1, kmax + 1)
     else:
@@ -180,16 +187,20 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
         examined = np.flatnonzero(below[:K] < 1 - EXAMINE_TAIL) + 1
         if examined.size == 0:
             examined = np.array([1])
-    bad = examined[fy[examined] < -NEG_MASS_TOL]
+    # NaN and +-inf count as bad; only a finite witness settles the verdict
+    bad = examined[~((fy[examined] >= -NEG_MASS_TOL) & (fy[examined] < math.inf))]
     if bad.size:
         k0 = bad[0]
+        if not math.isfinite(fy[k0]):
+            raise DomainError(f"mass at 0 of {f[0]:.4g} is too small: 1/f(0) overflows the "
+                              f"increment at index {k0}, before any verdict")
         return IdTestResult(False, a, None, k0, float(fy[k0]), fy, examined)
     # verdict settled on the examined window; the increment itself may
     # keep later coefficients up to the first negative one (that is
     # where truncation noise takes over) so its masses are not inflated
     # by renormalizing over a short window
     keep = int(examined[-1])
-    while keep < kmax and fy[keep + 1] >= 0.0:
+    while keep < kmax and 0.0 <= fy[keep + 1] < math.inf:
         keep += 1
     idx = np.arange(1, keep + 1)
     masses = np.clip(fy[idx], 0.0, None)
@@ -390,5 +401,8 @@ def levy_to_json(levy: LevyRepr) -> dict:
 
 
 def levy_from_json(obj: dict) -> LevyRepr:
-    return LevyRepr(float(obj["a"]), float(obj.get("alpha0", 0.0)),
-                    tuple((y, r) for y, r in obj["jumps"]))
+    """{"a": mean, "alpha0": drift mass, "jumps": [[y, rate], ...]}, as levy_to_json writes it."""
+    if not isinstance(obj, dict):
+        raise SizeBiasError("expected an object with 'a' and 'jumps'")
+    return LevyRepr(json_number(obj, "a"), json_number(obj, "alpha0", 0.0),
+                    tuple(json_list(obj, "jumps", pairs=True)))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -118,13 +119,24 @@ def test_transform_from_file(capsys, tmp_path):
     f.write_text(json.dumps({"atoms": [[1.0, 0.25], [2.0, 0.75]]}))
     out = run_json(capsys, "transform", "--dist", f"@{f}")
     assert out["mean"] == pytest.approx(1.75)
+    # a grid file: Gamma(2) on [0, 20] at step 0.01
+    xs = 0.01 * np.arange(2001)
+    g = sb.GridDensity(0.01, xs * np.exp(-xs), mass_tol=1e-3)
+    f.write_text(json.dumps(sb.dist_to_json(g)))
+    out = run_json(capsys, "transform", "--dist", f"@{f}")
+    assert out["input"] == sb.dist_to_json(g)
+    assert out["mean"] == g.mean()
+    assert out["size_biased"] == sb.dist_to_json(sb.size_bias_density(g))
 
 
 def test_id_test_witness_exact_bytes(capsys):
-    # binomial(2, 1/2) masses: the canonical non-divisible fixture
-    code, out, err = run_cli(capsys, "id-test", "--pmf", "0.25,0.5,0.25")
-    assert code == 0
-    assert out == '{"is_id": false, "witness_index": 2}\n'
+    # binomial(2, 1/2) masses: the canonical non-divisible fixture; with a tiny
+    # mass at 0 the witness at 2 still comes before the first non-finite
+    # coefficient (at 4 and 11)
+    for pmf in ("0.25,0.5,0.25", "1e-100,0.5,0.5", "1e-30,0.3,0.7"):
+        code, out, err = run_cli(capsys, "id-test", "--pmf", pmf)
+        assert code == 0
+        assert out == '{"is_id": false, "witness_index": 2}\n'
 
 
 def test_id_test_poisson_detects_unit_jumps(capsys):
@@ -372,6 +384,11 @@ def test_run_config_is_a_value():
     other = RunConfig.from_namespace(
         build_parser().parse_args(["stein", "--n", "5", "--p", "0.2", "--seed", "10"]))
     assert other != cfg1
+    # a repeated option is kept as a tuple, so the record stays hashable
+    argv = ["sum", "--dist", "poisson:1", "--dist", "poisson:2"]
+    cfg = RunConfig.from_namespace(build_parser().parse_args(argv))
+    assert dict(cfg.params) == {"dist": ("poisson:1", "poisson:2")}
+    assert hash(cfg) == hash(RunConfig.from_namespace(build_parser().parse_args(argv)))
 
 
 def test_out_file(tmp_path, capsys):
@@ -395,7 +412,31 @@ def test_csv_format(capsys):
 # failure paths
 
 def test_exit_2_on_bad_input(capsys, tmp_path):
+    # JSON documents of the wrong shape, each refused with the field it gets wrong
+    docs = {"transform": ("5", '{"atoms": 5}', '{"atoms": [1, 2]}', '{"grid": 5}',
+                          '{"grid": {"h": 0.5}}'),
+            "compound-poisson": ("5", "[1, 2]", '{"a": 1, "jumps": 5}',
+                                 '{"a": 1, "jumps": [1, 2]}', '{"a": [1], "jumps": [[1, 1]]}',
+                                 '{"jumps": [[1, 1]]}')}
+    files = []
+    for command, texts in docs.items():
+        flag, at = ("--dist", "@") if command == "transform" else ("--levy", "")
+        for i, text in enumerate(texts):
+            f = tmp_path / f"{command}-{i}.json"
+            f.write_text(text)
+            files.append([command, flag, at + str(f)])
+    # 1,001 negative and 1,000 positive atoms: a (u, v) grid past CONV_ATOM_CAP
+    wide = tmp_path / "wide.json"
+    xs = [*range(-1001, 0), *range(1, 1000), 2001]
+    wide.write_text(json.dumps({"atoms": [[x, 1 / 2001] for x in xs]}))
     cases = [
+        *files,
+        ["skorohod", "--dist", "@" + str(wide)],
+        ["compound-poisson", "--a", "inf", "--increment", "atoms:1=1"],
+        ["compound-poisson", "--a", "nan", "--increment", "atoms:1=1"],
+        # 1/f(0) overflows before a finite witness is found
+        ["id-test", "--pmf", "1e-320,1"],
+        ["id-test", "--pmf", "1e-200,1"],
         ["transform", "--dist", "dirac:0"],
         ["transform", "--dist", "nosuchfamily:1"],
         ["midzuno", "--csv", str(tmp_path / "missing.csv"), "--m", "2"],
@@ -405,11 +446,19 @@ def test_exit_2_on_bad_input(capsys, tmp_path):
         ["compound-poisson", "--a", "2.0"],
         ["orbit", "--b", "1.0", "--c", "1.001"],
     ]
+    errors = []
     for argv in cases:
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:")
+        errors.append(err)
+    fields = ("'atoms' or 'grid'", "'atoms'", "'atoms'", "'grid'", "'values'",
+              "'a' and 'jumps'", "'a' and 'jumps'", "'jumps'", "'jumps'", "'a'", "'a'")
+    for err, field in zip(errors, fields):
+        assert field in err, (err, field)
 
 
 def test_bad_header_exits_2(capsys, tmp_path):

@@ -322,6 +322,27 @@ def test_char_fn_two_paths():
         assert abs(direct - fd) <= 1e-6
 
 
+def test_grid_density_moment_scale_and_char_fn():
+    # 0.75 Gamma(2) on [0, 40] at step 1e-3 plus an atom of 0.25 at 0
+    h = 1e-3
+    xs = h * np.arange(40_001)
+    g = sb.GridDensity(h, 0.75 * xs * np.exp(-xs), atom0=0.25)
+    mass = g.atom0 + g.integral()
+    assert sb.moment(g, 1) == g.mean()
+    assert sb.moment(g, 0) == mass
+    assert sb.moment(g, 2) == pytest.approx(0.75 * 6.0, rel=1e-6)
+    with pytest.raises(NegativeMomentAtZero):
+        sb.moment(g, -1)
+    s = sb.scale(g, 2.5)
+    assert s.atom0 + s.integral() == pytest.approx(mass, rel=1e-14)
+    assert s.mean() == pytest.approx(2.5 * g.mean(), rel=1e-14)
+    assert sb.char_fn(g, 0.0) == pytest.approx(mass, rel=1e-15)
+    assert mass == pytest.approx(1.0, abs=1e-6)
+    # E e^{iuX} = 0.25 + 0.75 / (1 - iu)^2; the trapezoid is off by O(h^2)
+    for u in (0.5, -1.0, 3.0):
+        assert abs(sb.char_fn(g, u) - (0.25 + 0.75 / (1 - 1j * u) ** 2)) < 1e-6
+
+
 def test_char_fn_at_zero():
     d = random_dist(RNG)
     assert sb.char_fn(d, 0.0) == 1.0 + 0.0j

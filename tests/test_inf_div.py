@@ -10,6 +10,7 @@ from sizebias.errors import (
     DomainError, GapInSupport, GridTooCoarse, NonIntegerJump, SupportOverflow, TruncationTooSevere,
     ZeroAtOrigin, ZeroSupportPoint,
 )
+from sizebias.inf_div import NEG_MASS_TOL
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -24,6 +25,11 @@ def test_levy_validation():
         sb.LevyRepr(1.0, 0.0, ((1.0, 0.5), (1.0, 0.5)))
     levy = sb.LevyRepr(2.0, 0.0, ((1.0, 1.2), (2.0, 0.4)))
     assert np.isclose(levy.total_rate(), 1.6)
+    # a non-finite mean, jump size or rate is refused when the object is built
+    for a, jumps in ((math.inf, ((1.0, math.inf),)), (math.nan, ((1.0, math.nan),)),
+                     (2.0, ((1.0, 1.2), (math.nan, 0.4))), (2.0, ((1.0, 1.2), (2.0, math.inf)))):
+        with pytest.raises(DomainError, match="must be finite"):
+            sb.LevyRepr(a, 0.0, jumps)
 
 
 def test_rates_from_increment():
@@ -205,6 +211,19 @@ def test_extract_bernoulli_witness_past_support():
     assert not res.is_id
     assert res.witness_index == 2
     assert np.isclose(res.witness_value, -2.0, atol=1e-12)
+
+
+def test_extract_with_a_tiny_mass_at_zero():
+    # 1/f(0) overflows: a verdict needs a finite witness before any non-finite coefficient
+    for pmf, first_inf in (([1e-100, 0.5, 0.5], 4), ([1e-30, 0.3, 0.7], 11)):
+        res = sb.extract_increment(sb.DiscreteDist.from_pmf(pmf))
+        assert not res.is_id and res.witness_index == 2, pmf
+        assert math.isfinite(res.witness_value) and res.witness_value < -NEG_MASS_TOL
+        assert np.isfinite(res.raw[:first_inf]).all() and not np.isfinite(res.raw[first_inf])
+    # here the first coefficient past the tolerance is inf or -inf
+    for pmf in ([1e-320, 1.0], [1e-200, 1.0]):
+        with pytest.raises(DomainError, match="mass at 0"):
+            sb.extract_increment(sb.DiscreteDist.from_pmf(pmf))
 
 
 def test_extract_requires_mass_at_zero():

@@ -305,6 +305,15 @@ def test_mixture_normalizer_converges_geometrically_in_log_x():
         assert abs(sb.mixture_normalizer(c) - 1.0) <= 1e-14, c
 
 
+def test_mixture_density_is_lognormal_times_theta():
+    # h_c(b) = f(b) t(b, c) / k_c, f the lognormal density at sigma^2 = log c, t from
+    # mpmath's theta and k_c = 1
+    for b, c, theta in THETA_ORACLE:
+        s2 = math.log(c)
+        f = math.exp(-math.log(b) ** 2 / (2 * s2)) / (b * math.sqrt(2 * math.pi * s2))
+        assert sb.mixture_density_hc(c, b) == pytest.approx(f * theta, rel=1e-13), (b, c)
+
+
 def test_mixture_density_validation():
     with pytest.raises(ValueError):
         sb.mixture_density_hc(2.0, 0.9)

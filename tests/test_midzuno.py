@@ -51,6 +51,10 @@ def test_exact_unbiasedness():
         want = p.ys.sum() / p.xs.sum()
         for m in range(1, n + 1):
             assert sb.exact_expectation(p, m) == pytest.approx(want, abs=1e-12)
+    # 25 units taken 3 at a time are 6,900 index cells, well under the cap
+    rng = np.random.default_rng(3)
+    p = sb.Population(rng.uniform(0.05, 4.0, 25), rng.normal(size=25))
+    assert sb.exact_expectation(p, 3) == pytest.approx(p.ys.sum() / p.xs.sum(), abs=1e-12)
 
 
 def _expectation_reference(p, m):
@@ -152,16 +156,9 @@ def test_error_paths():
     huge = sb.Population(np.ones(3000), np.ones(3000))
     with pytest.raises(SupportOverflow, match=r"needs 2\.688e\+904 index cells"):
         sb.exact_expectation(huge, 1500)
-
-
-def test_enumeration_cap_counts_index_cells():
-    from sizebias.midzuno import ENUM_CAP
     # every enumeration of at most 20 units fits; n = 20 at m = 10 and 11 meets the cap exactly
+    from sizebias.midzuno import ENUM_CAP
     assert max(comb(n, m) * m for n in range(2, 21) for m in range(1, n + 1)) == ENUM_CAP
-    # 25 units taken 3 at a time are 6,900 index cells, well under the cap
-    rng = np.random.default_rng(3)
-    p = sb.Population(rng.uniform(0.1, 2.0, 25), rng.normal(size=25))
-    assert sb.exact_expectation(p, 3) == pytest.approx(p.ys.sum() / p.xs.sum(), abs=1e-12)
 
 
 def test_zero_x_unit_edge_cases():

@@ -12,11 +12,11 @@ from sizebias.errors import (ConstantInput, DomainError, HorizonTooShort, Nonzer
 RNG = np.random.default_rng(np.random.Philox(20240821))
 # 151 gaps per row reach 60 only past a gap of 100: about a fifth of the rows draw none
 # and take the widening branch
-# mean zero: -1..-1001 against 1..999 and 2001, each atom with mass 1/2001
-WIDE_MEAN_ZERO = [(float(x), 1 / 2001) for x in [*range(-1001, 0), *range(1, 1000), 2001]]
 RARE_LONG_GAP = sb.DiscreteDist(np.array([0.01, 100.0]), np.array([0.99, 0.01]))
 # at horizon 100 most rows creep on 0.01 gaps, so rows take about 30 widening rounds
 CREEPING_GAP = sb.DiscreteDist(np.array([0.01, 1000.0]), np.array([0.999, 0.001]))
+# mean zero: -1..-1001 against 1..999 and 2001, each atom with mass 1/2001
+WIDE_MEAN_ZERO = [(float(x), 1 / 2001) for x in [*range(-1001, 0), *range(1, 1000), 2001]]
 
 
 def random_mean_zero(rng, with_zero=False):
