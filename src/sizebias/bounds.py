@@ -30,7 +30,7 @@ class CouplingGap:
 
     def __post_init__(self):
         if self.gap < 0:
-            raise ValueError(f"gap must be nonnegative, got {self.gap}")
+            raise DomainError(f"gap must be nonnegative, got {self.gap}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class ConcentrationParams:
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.a, self.c, self.x)):
-            raise ValueError("a, c, x must all be positive and finite")
+            raise DomainError("a, c, x must all be positive and finite")
 
 
 def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
@@ -54,7 +54,7 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
 def stein_poisson_bound(lam: float, gap) -> float:
     """Total variation to Poisson(lam) is at most (1 - e^-lam) * gap."""
     if lam <= 0:
-        raise ValueError(f"rate must be positive, got {lam}")
+        raise DomainError(f"rate must be positive, got {lam}")
     g = gap.gap if isinstance(gap, CouplingGap) else float(gap)
     return (1.0 - math.exp(-lam)) * g
 
@@ -79,7 +79,7 @@ def binomial_poisson_check(n: int, p: float):
     the bound (n = 1) but never beats it.
     """
     if n < 1 or not 0.0 < p < 1.0:
-        raise ValueError(f"need n >= 1 and p in (0,1), got n={n}, p={p}")
+        raise DomainError(f"need n >= 1 and p in (0,1), got n={n}, p={p}")
     lam = n * p
     bound = stein_poisson_bound(lam, p)
     # cut the Poisson terms at the first k >= n where a term is dust next
@@ -164,7 +164,10 @@ def tail_iteration(cp: ConcentrationParams) -> float:
     if r > 1e300:
         raise DomainError(f"x/c = {r:.3g} is past the range of log Gamma")
     m = math.ceil((x - a) / c)
-    log_prod = m * math.log(a / c) - math.lgamma(r + 1) + math.lgamma(r - m + 1)
+    low = r - m + 1
+    if low <= 0:        # r - m + 1 rounded onto a pole of log Gamma; r - (m - 1) keeps r's bits
+        low = r - (m - 1)
+    log_prod = m * math.log(a / c) - math.lgamma(r + 1) + math.lgamma(low)
     # every factor is below 1; the cap keeps rounding at huge x/c from overflowing
     return math.exp(min(log_prod, 0.0))
 

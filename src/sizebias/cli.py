@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SizeBiasError, NoClosedForm
+from .errors import SizeBiasError, NoClosedForm, SupportOverflow
 from .dist_core import (
     DiscreteDist, GridDensity, NamedDist, ShiftedNamed, check_points,
     closed_form_size_bias, tabulate_named, named_mean,
@@ -93,7 +93,7 @@ def derive_rng(seed: int, name: str, stream: int = 0) -> np.random.Generator:
 
 def _gfloat(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
+        raise SupportOverflow(f"cannot serialize non-finite value {x}")
     return f"{x:.17g}"
 
 

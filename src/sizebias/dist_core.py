@@ -15,18 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AtomAtZero,
-    AtomPresent,
-    NegativeMomentAtZero,
-    NoClosedForm,
-    NoSampler,
-    NonpositiveScale,
-    NoSuccesses,
-    SizeBiasError,
-    SupportOverflow,
-    ZeroMean,
-)
+from .errors import DomainError, NoClosedForm, NoSampler, SizeBiasError, SupportOverflow, ZeroMean
 
 ATOM_MERGE_TOL = 1e-12     # support points closer than this are one atom
 PROB_SUM_TOL = 1e-12       # |sum(p) - 1| allowed
@@ -273,21 +262,21 @@ class DiscreteDist(_Sampled):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", ps)
         if xs.ndim != 1 or ps.ndim != 1 or xs.size != ps.size or xs.size == 0:
-            raise ValueError("atoms must be two equal-length nonempty vectors")
+            raise DomainError("atoms must be two equal-length nonempty vectors")
         if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
-            raise ValueError("support points and probabilities must be finite")
+            raise DomainError("support points and probabilities must be finite")
         if not math.isfinite(float(xs[-1]) - float(xs[0])):
             raise SupportOverflow(f"support from {xs[0]:.4g} to {xs[-1]:.4g} spans past the "
                                   "double range")
         if np.any(xs[1:] <= xs[:-1]):
-            raise ValueError("support points must be strictly increasing")
+            raise DomainError("support points must be strictly increasing")
         if not self.signed and xs[0] < 0:
-            raise ValueError(f"negative support point {xs[0]} in unsigned distribution")
+            raise DomainError(f"negative support point {xs[0]} in unsigned distribution")
         if np.any(ps < -1e-15):
-            raise ValueError(f"negative probability {ps.min()}")
+            raise DomainError(f"negative probability {ps.min()}")
         s = ps.sum()
         if abs(s - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {s}, not 1")
+            raise DomainError(f"probabilities sum to {s}, not 1")
 
     @classmethod
     def from_pairs(cls, pairs, signed=False):
@@ -334,18 +323,18 @@ class GridDensity:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid step must be positive and finite, got {self.h}")
+            raise DomainError(f"grid step must be positive and finite, got {self.h}")
         if values.ndim != 1 or values.size < 2:
-            raise ValueError("need at least two grid values")
+            raise DomainError("need at least two grid values")
         if not np.isfinite(values).all():
-            raise ValueError("density values must be finite")
+            raise DomainError("density values must be finite")
         if np.any(values < -1e-12):
-            raise ValueError(f"negative density value {values.min()}")
+            raise DomainError(f"negative density value {values.min()}")
         if not 0.0 <= self.atom0 <= 1.0:
-            raise ValueError(f"atom0 = {self.atom0} outside [0, 1]")
+            raise DomainError(f"atom0 = {self.atom0} outside [0, 1]")
         total = self.atom0 + self.integral()
         if abs(total - 1.0) > self.mass_tol:
-            raise ValueError(f"total mass {total} off 1 beyond tolerance {self.mass_tol}")
+            raise DomainError(f"total mass {total} off 1 beyond tolerance {self.mass_tol}")
 
     def grid(self) -> np.ndarray:
         return self.h * np.arange(self.values.size)
@@ -429,14 +418,14 @@ class NamedDist(_Sampled):
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
-            raise ValueError(f"unknown family {self.kind!r}")
+            raise DomainError(f"unknown family {self.kind!r}")
         fam = _FAMILIES[self.kind]
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         name = f"{self.kind}({', '.join(fam.params)})"
         if len(self.params) != len(fam.params):
-            raise ValueError(f"{name} takes {len(fam.params)} parameters")
+            raise DomainError(f"{name} takes {len(fam.params)} parameters")
         if not (all(math.isfinite(v) for v in self.params) and fam.ok(*self.params)):
-            raise ValueError(f"{name} needs finite parameters and {fam.domain}, got {self.params}")
+            raise DomainError(f"{name} needs finite parameters and {fam.domain}, got {self.params}")
 
     def fill(self, rng, out) -> None:
         """Draw into out in place; NoSampler, before any draw, for a family without one."""
@@ -447,7 +436,12 @@ class NamedDist(_Sampled):
 
 
 def named_mean(nd: NamedDist) -> float:
-    return _FAMILIES[nd.kind].mean(*nd.params)
+    """The family's mean; SupportOverflow where it is past the double range."""
+    mean = _FAMILIES[nd.kind].mean(*nd.params)
+    if not math.isfinite(mean):
+        raise SupportOverflow(f"mean of {nd.kind}({', '.join(f'{v:g}' for v in nd.params)}) "
+                              "is past the double range")
+    return mean
 
 
 @dataclass(frozen=True)
@@ -515,7 +509,7 @@ def tabulate_named(nd: NamedDist) -> DiscreteDist:
         return DiscreteDist(ks.astype(float), pmf / pmf.sum(), tail_bound=max(tail, 0.0))
     if k == "borel":
         return borel_pmf(p[0])
-    raise ValueError(f"{k} is not a discrete family")
+    raise DomainError(f"{k} is not a discrete family")
 
 
 def named_density(nd: NamedDist, h=1e-3) -> GridDensity:
@@ -559,7 +553,7 @@ def named_density(nd: NamedDist, h=1e-3) -> GridDensity:
             vals = np.exp(xlogy(a - 1.0, xs) + xlogy(b - 1.0, 1.0 - xs) - lbeta)
         vals = np.where(xs <= 1.0, vals, 0.0)
     else:
-        raise ValueError(f"{k} is not a continuous family")
+        raise DomainError(f"{k} is not a continuous family")
     vals = np.where(np.isfinite(vals), vals, 0.0)
     total = trapezoid(vals, dx=h)
     return GridDensity(h, vals / total)
@@ -583,7 +577,7 @@ def size_bias_discrete(d: DiscreteDist) -> DiscreteDist:
 def size_bias_density(g: GridDensity) -> GridDensity:
     """x*f(x)/mean on the same grid, renormalized to unit integral."""
     if g.atom0 != 0.0:
-        raise AtomPresent("grid carries mass at 0, use the discrete path for atoms")
+        raise DomainError("grid carries mass at 0, use the discrete path for atoms")
     a = g.mean()
     if a <= 0:
         raise ZeroMean("mean must be positive to size bias")
@@ -600,11 +594,11 @@ def moment(d, k: int) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(d, DiscreteDist):
             if k < 0 and d.prob_at(0.0) > 0:
-                raise NegativeMomentAtZero(f"moment k={k} undefined with an atom at 0")
+                raise DomainError(f"moment k={k} undefined with an atom at 0")
             val = float((d.xs ** k) @ d.ps)
         elif isinstance(d, GridDensity):
             if k < 0:
-                raise NegativeMomentAtZero("grid densities include the origin")
+                raise DomainError("grid densities include the origin")
             contrib = d.atom0 if k == 0 else 0.0
             val = contrib + float(trapezoid(d.grid() ** k * d.values, dx=d.h))
         else:
@@ -618,7 +612,7 @@ def moment(d, k: int) -> float:
 def scale(d, c: float):
     """Multiply the support by c > 0; masses (or density mass) unchanged."""
     if c <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {c}")
+        raise DomainError(f"scale factor must be positive, got {c}")
     if isinstance(d, DiscreteDist):
         return DiscreteDist(d.xs * c, d.ps, signed=d.signed, tail_bound=d.tail_bound)
     if isinstance(d, GridDensity):
@@ -629,7 +623,7 @@ def scale(d, c: float):
 def inverse_size_bias(z: DiscreteDist) -> DiscreteDist:
     """The unique zero-free preimage: mass proportional to p(x)/x."""
     if z.xs[0] <= 0:
-        raise AtomAtZero("preimage exists only for strictly positive support")
+        raise DomainError("preimage exists only for strictly positive support")
     w = z.ps / z.xs
     return DiscreteDist(z.xs, w / w.sum())
 
@@ -680,10 +674,10 @@ def size_bias_by_conditioning(pairs) -> DiscreteDist:
     x-law without ever weighting explicitly.
     """
     if not pairs:
-        raise NoSuccesses("no pairs supplied")
+        raise DomainError("no pairs supplied")
     hits = [float(x) for x, a in pairs if a]
     if not hits:
-        raise NoSuccesses("conditioning event never occurred")
+        raise DomainError("conditioning event never occurred")
     xs, counts = np.unique(np.asarray(hits), return_counts=True)
     return DiscreteDist(xs, counts / counts.sum())
 
@@ -696,7 +690,7 @@ def borel_pmf(lam: float) -> DiscreteDist:
     each doubling computes only its new half, since the masses are elementwise.
     """
     if not 0 <= lam < 1:
-        raise ValueError(f"rate must be in [0, 1), got {lam}")
+        raise DomainError(f"rate must be in [0, 1), got {lam}")
     if lam == 0.0:
         return DiscreteDist(np.array([1.0]), np.array([1.0]))
     pmf, tail = np.empty(0), 1.0

@@ -18,17 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dist_core import DiscreteDist, GridDensity, check_points, check_work, json_list, json_number
-from .errors import (
-    DomainError,
-    GapInSupport,
-    GridTooCoarse,
-    NonIntegerJump,
-    SizeBiasError,
-    TruncationTooSevere,
-    ZeroAtOrigin,
-    ZeroMean,
-    ZeroSupportPoint,
-)
+from .errors import DomainError, SizeBiasError, SupportOverflow, TruncationTooSevere, ZeroMean
 
 NEG_MASS_TOL = 1e-9        # extracted mass below -this means "not divisible"
 EXAMINE_TAIL = 1e-6        # skip indices once this little input mass remains
@@ -54,19 +44,19 @@ class LevyRepr:
         if bad:
             raise DomainError(f"mean, jump sizes and rates must be finite, got {bad[0]}")
         if self.a <= 0:
-            raise ValueError(f"mean must be positive, got {self.a}")
+            raise DomainError(f"mean must be positive, got {self.a}")
         if not 0.0 <= self.alpha0 < 1.0:
-            raise ValueError(f"drift mass {self.alpha0} outside [0, 1)")
+            raise DomainError(f"drift mass {self.alpha0} outside [0, 1)")
         ys = [y for y, _ in self.jumps]
         if any(y <= 0 for y in ys):
-            raise ValueError("jump sizes must be positive")
+            raise DomainError("jump sizes must be positive")
         if len(set(ys)) != len(ys):
-            raise ValueError("jump sizes must be distinct")
+            raise DomainError("jump sizes must be distinct")
         if any(r <= 0 for _, r in self.jumps):
-            raise ValueError("jump rates must be positive")
+            raise DomainError("jump rates must be positive")
         total = sum(r * y for y, r in self.jumps)
         if abs(total - self.a * (1 - self.alpha0)) > 1e-10:
-            raise ValueError(f"rates integrate to {total}, expected {self.a * (1 - self.alpha0)}")
+            raise DomainError(f"rates integrate to {total}, expected {self.a * (1 - self.alpha0)}")
 
     def total_rate(self) -> float:
         return sum(r for _, r in self.jumps)
@@ -103,7 +93,7 @@ def compound_poisson_from_increment(y_dist: DiscreteDist, a: float) -> LevyRepr:
     increment.
     """
     if y_dist.xs[0] <= 0:
-        raise ZeroSupportPoint(f"increment support must be positive, got {y_dist.xs[0]}")
+        raise DomainError(f"increment support must be positive, got {y_dist.xs[0]}")
     if a <= 0:
         raise ZeroMean(f"mean must be positive, got {a}")
     jumps = [(float(y), a * float(p) / float(y)) for y, p in zip(y_dist.xs, y_dist.ps) if p > 0]
@@ -120,12 +110,12 @@ def pmf_recursion(levy: LevyRepr, N: int) -> DiscreteDist:
     tail is recorded on the result and the masses renormalized.
     """
     if levy.alpha0 != 0.0:
-        raise NonIntegerJump("drift mass shifts the law off the integer lattice")
+        raise DomainError("drift mass shifts the law off the integer lattice")
     ys, rs = np.array(levy.jumps).T
     ks = np.round(ys)
     bad = ~(np.abs(ys - ks) <= 1e-12) | (ks < 1)      # a NaN size counts as bad
     if bad.any():
-        raise NonIntegerJump(f"jump size {ys[bad][0]} is not a positive integer")
+        raise DomainError(f"jump size {ys[bad][0]} is not a positive integer")
     what = f"compound-Poisson pmf on 0..{N}"
     check_points(N + 1, what)
     check_work(N * (N + 1) / 2, RECURSION_WORK_CAP, "multiply-adds", what)
@@ -159,7 +149,7 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     """
     ks = np.round(fX.xs).astype(int)
     if np.any(np.abs(fX.xs - ks) > 1e-9) or ks[0] < 0:
-        raise NonIntegerJump("support must sit on the nonnegative integers")
+        raise DomainError("support must sit on the nonnegative integers")
     exact = fX.tail_bound == 0.0
     K = int(ks[-1])
     kmax = 2 * K + 10 if exact else K
@@ -169,7 +159,7 @@ def extract_increment(fX: DiscreteDist) -> IdTestResult:
     f = np.zeros(kmax + 1)
     f[ks] = fX.ps
     if f[0] <= 0:
-        raise ZeroAtOrigin("extraction divides by the mass at 0")
+        raise DomainError("extraction divides by the mass at 0")
     a = fX.mean()
     if a <= 0:
         raise ZeroMean("mean must be positive")
@@ -264,7 +254,7 @@ def log_convexity_check(fX: DiscreteDist) -> bool:
     ok = (np.all(np.abs(fX.xs - ks) <= 1e-9) and ks[0] == 0
           and np.all(np.diff(ks) == 1) and np.all(fX.ps > 0))
     if not ok:
-        raise GapInSupport("need every mass positive on an initial segment {0..N}")
+        raise DomainError("need every mass positive on an initial segment {0..N}")
     p = fX.ps
     return bool(np.all(p[:-2] * p[2:] >= p[1:-1] ** 2 - 1e-15))
 
@@ -281,15 +271,24 @@ def levy_char_fn(levy: LevyRepr, u: float) -> complex:
 # delay equations with uniform increments
 # ===================================================================
 
+def _check_mean(a):
+    if not math.isfinite(a):
+        raise DomainError(f"mean must be finite, got {a}")
+    if a <= 0:
+        raise DomainError(f"mean must be positive, got {a}")
+
+
 def _check_grid(h, xmax):
     if not 0 < h <= 1e-3 + 1e-15:
-        raise GridTooCoarse(f"grid step {h} outside (0, 1e-3]")
+        raise DomainError(f"grid step {h} outside (0, 1e-3]")
+    if not math.isfinite(xmax):
+        raise DomainError(f"xmax must be finite, got {xmax}")
     if xmax < 3:
-        raise GridTooCoarse(f"xmax must be at least 3, got {xmax}")
+        raise DomainError(f"xmax must be at least 3, got {xmax}")
     check_points(xmax / h + 1, f"grid to {xmax:g} at step {h:g}")
     m1 = round(1.0 / h)
     if abs(1.0 / h - m1) > 1e-6:
-        raise GridTooCoarse("1/h must be an integer so the unit delay sits on the grid")
+        raise DomainError("1/h must be an integer so the unit delay sits on the grid")
     return m1
 
 
@@ -308,8 +307,7 @@ def dickman_solve(a: float, h: float = 1e-3, xmax: float = 5.0) -> GridDensity:
     which tests use as the accuracy certificate.  At a=1 this is the
     rough-number density: e^(-gamma) times the classical decay function.
     """
-    if a <= 0:
-        raise ValueError(f"mean must be positive, got {a}")
+    _check_mean(a)
     m1 = _check_grid(h, xmax)
     _check_rate(a, h)
     J = round(xmax / h)
@@ -318,7 +316,7 @@ def dickman_solve(a: float, h: float = 1e-3, xmax: float = 5.0) -> GridDensity:
     c = a / x[m1 + 1 :]
     d = 1.0 - a * h / (2.0 * x[m1 + 1 :])
     if not d[0] > 0.0:      # d grows with x, so the first step is the worst
-        raise GridTooCoarse(f"step {h:g} too coarse for mean {a:g}: the implicit "
+        raise DomainError(f"step {h:g} too coarse for mean {a:g}: the implicit "
                             f"denominator {d[0]:.3g} is not positive (need a*h < 2(1 + h))")
     f = np.zeros(m1 + 1)
     f[1:] = x[1 : m1 + 1] ** (a - 1.0)
@@ -341,6 +339,9 @@ def dickman_solve(a: float, h: float = 1e-3, xmax: float = 5.0) -> GridDensity:
         fp = fj
         f.append(fj)
         F.append(Fp)
+    if not math.isfinite(Fp):
+        raise SupportOverflow(f"the density's integral at mean {a:g} leaves the double range "
+                              f"before xmax = {xmax:g}")
     return GridDensity(h, np.array(f) / Fp)
 
 
@@ -355,14 +356,13 @@ def buchstab_solve(a: float, b: float, h: float = 1e-3, xmax: float = 8.0) -> Gr
     The result is left unnormalized: atom + integral = 1 is the
     accuracy certificate, not an enforced identity.
     """
-    if a <= 0:
-        raise ValueError(f"mean must be positive, got {a}")
+    _check_mean(a)
     if not 0.0 < b < 1.0:
-        raise ValueError(f"b must be in (0, 1), got {b}")
+        raise DomainError(f"b must be in (0, 1), got {b}")
     m1 = _check_grid(h, xmax)
     mb = round(b / h)
     if abs(b / h - mb) > 1e-9 or mb == 0:
-        raise GridTooCoarse(f"b = {b} must sit on the grid of step {h}, past its first point")
+        raise DomainError(f"b = {b} must sit on the grid of step {h}, past its first point")
     _check_rate(a, h)
     atom0 = b ** (a / (1.0 - b))
     J = round(xmax / h)

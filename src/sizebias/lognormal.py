@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import DiscreteDist, check_points, trapezoid
-from .errors import DomainError, QuadratureFailure, TruncationTooSevere
+from .errors import BoundViolated, DomainError, SupportOverflow, TruncationTooSevere
 
 MIN_RATIO = 1.01           # c below this makes the theta series impractical
 TRUNC_MASS = 1e-14         # edge orbit mass allowed at truncation width M
@@ -158,7 +158,7 @@ def orbit_size_bias_check(o) -> bool:
     xs, ps = d.xs, d.ps
     ratios = xs[1:] / xs[:-1]
     if np.any(np.abs(ratios / np.median(ratios) - 1.0) > 1e-9):
-        raise ValueError("support is not a geometric progression")
+        raise DomainError("support is not a geometric progression")
     star = xs * ps / d.mean()
     # scaled law occupies slots 1.. plus one new slot past the top
     gaps = np.abs(star[1:] - ps[:-1])
@@ -195,11 +195,13 @@ class StieltjesDensity:
 
     def __post_init__(self):
         if self.m < 1 or self.m != int(self.m):
-            raise ValueError("m must be a positive integer")
+            raise DomainError("m must be a positive integer")
         if not -1.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta {self.delta} outside [-1, 1]")
+            raise DomainError(f"delta {self.delta} outside [-1, 1]")
+        if not math.isfinite(self.sigma):
+            raise DomainError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise DomainError("sigma must be positive")
 
 
 def stieltjes_density(s: StieltjesDensity, x):
@@ -218,17 +220,17 @@ def stieltjes_moment(s: StieltjesDensity, n: int) -> float:
     The substitution turns the integrand e^(n sigma z) times the normal
     density, a Gaussian bump at z = n sigma; z within 10 of the bump
     leaves tails below 1e-20 of the moment e^(n^2 sigma^2 / 2).  Raises
-    QuadratureFailure where that moment overflows a double.
+    SupportOverflow where that moment overflows a double.
     """
     top = n * s.sigma
     if top * top / 2 > math.log(np.finfo(float).max):
-        raise QuadratureFailure(f"moment n={n} is e^{top * top / 2:.4g}, past the double range")
+        raise SupportOverflow(f"moment n={n} is e^{top * top / 2:.4g}, past the double range")
     z = np.linspace(top - 10.0, top + 10.0, STIELTJES_PANELS + 1)
     wiggle = 1.0 + s.delta * np.sin(2 * math.pi * s.m * z / s.sigma)
     vals = np.exp(top * z - 0.5 * z * z) / math.sqrt(2 * math.pi) * wiggle
     out = float(trapezoid(vals, z))
     if not math.isfinite(out):
-        raise QuadratureFailure(f"moment n={n} quadrature returned {out}")
+        raise SupportOverflow(f"moment n={n} quadrature returned {out}")
     return out
 
 
@@ -250,7 +252,7 @@ def mixture_normalizer(c: float) -> float:
     vals = np.exp(-us * us / (2 * s2)) / math.sqrt(2 * math.pi * s2) * theta_t(np.exp(us), c)
     out = float(trapezoid(vals, us))
     if not math.isfinite(out) or out <= 0:
-        raise QuadratureFailure(f"normalizer quadrature returned {out}")
+        raise BoundViolated(f"normalizer quadrature returned {out}")
     return out
 
 
@@ -293,7 +295,7 @@ def berg_pmf(s: int, c: float, M: int | None = None) -> DiscreteDist:
     point, so moments alone cannot pin the law down.
     """
     if s not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {s}")
+        raise DomainError(f"sign must be -1 or +1, got {s}")
     _check_domain(c)
     _, ns, terms, xs = _orbit_grid(math.sqrt(c), c, M)
     masses = (1.0 + s * (-1.0) ** ns) * terms

@@ -12,17 +12,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import comb, floor, lgamma, log, log10
 
 import numpy as np
 
 from .dist_core import check_work
-from .errors import (
-    BadSampleSize,
-    BadSubsetSize,
-    DomainError,
-    ZeroDenominator,
-)
+from .errors import DomainError, SizeBiasError, SupportOverflow
 
 ENUM_CAP = 1_847_560   # enumerations past this many index cells are refused (n = 20, m = 10)
 
@@ -40,15 +35,19 @@ class Population:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or xs.shape != ys.shape:
-            raise ValueError("xs and ys must be equal-length vectors")
+            raise DomainError("xs and ys must be equal-length vectors")
         if xs.size < 2:
-            raise ValueError("population needs at least 2 units")
+            raise DomainError("population needs at least 2 units")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise DomainError("x and y values must be finite")
         if np.any(xs < 0):
-            raise ValueError(f"negative x value {xs.min()}")
-        if xs.sum() <= 0:
-            raise ValueError("x values must not all be zero")
+            raise DomainError(f"negative x value {xs.min()}")
+        with np.errstate(over="ignore"):
+            total = xs.sum()
+        if total <= 0:
+            raise DomainError("x values must not all be zero")
+        if not np.isfinite(total):
+            raise SupportOverflow("x values sum past the double range")
 
     @property
     def n(self) -> int:
@@ -66,24 +65,24 @@ def load_population_csv(path) -> Population:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["x", "y"]:
-            raise ValueError(f"expected header 'x,y', got {header}")
+            raise SizeBiasError(f"expected header 'x,y', got {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
-                raise ValueError(f"line {lineno}: expected 2 fields, got {len(row)}")
+                raise SizeBiasError(f"line {lineno}: expected 2 fields, got {len(row)}")
             try:
                 xs.append(float(row[0]))
                 ys.append(float(row[1]))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise SizeBiasError(f"line {lineno}: {exc}") from None
     return Population(np.array(xs), np.array(ys))
 
 
 def midzuno_sample(p: Population, m: int, rng) -> tuple:
     """Sorted index tuple: one size-biased draw, then an SRS of m-1."""
     if not 1 <= m <= p.n:
-        raise BadSampleSize(f"sample size {m} outside 1..{p.n}")
+        raise DomainError(f"sample size {m} outside 1..{p.n}")
     first = int(rng.choice(p.n, p=p.xs / p.xs.sum()))
     rest = np.delete(np.arange(p.n), first)
     tail = rng.choice(rest, size=m - 1, replace=False) if m > 1 else np.array([], dtype=int)
@@ -95,7 +94,7 @@ def ratio_estimate(p: Population, r) -> float:
     idx = list(r)
     sx = float(p.xs[idx].sum())
     if sx <= 0:
-        raise ZeroDenominator("sampled x values sum to zero")
+        raise DomainError("sampled x values sum to zero")
     return float(p.ys[idx].sum()) / sx
 
 
@@ -103,7 +102,7 @@ def subset_probability(p: Population, r, m: int) -> float:
     """P(sample = r): one over C(n,m), tilted by the subset x mean."""
     idx = list(r)
     if len(idx) != m or len(set(idx)) != m:
-        raise BadSubsetSize(f"subset {r} is not {m} distinct indices")
+        raise DomainError(f"subset {r} is not {m} distinct indices")
     xbar_r = float(p.xs[idx].mean())
     xbar = float(p.xs.mean())
     return xbar_r / xbar / comb(p.n, m)
@@ -116,11 +115,18 @@ def exact_expectation(p: Population, m: int) -> float:
     point of the design.
     """
     if not 1 <= m <= p.n:
-        raise BadSampleSize(f"sample size {m} outside 1..{p.n}")
+        raise DomainError(f"sample size {m} outside 1..{p.n}")
     # one row of unit indices per subset: at ENUM_CAP the index matrix and one
     # gathered value array peak at about 33 MB
+    what = f"enumeration of C({p.n}, {m}) subsets"
+    if min(m, p.n - m) >= ENUM_CAP.bit_length():
+        # C(n, k) >= 2^k > ENUM_CAP once n >= 2k: refused on the log-gamma count, since
+        # the exact one can take seconds
+        lg = (lgamma(p.n + 1) - lgamma(m + 1) - lgamma(p.n - m + 1)) / log(10) + log10(m)
+        from decimal import Decimal
+        check_work(Decimal(f"{10 ** (lg % 1)!r}e{floor(lg)}"), ENUM_CAP, "index cells", what)
     count = comb(p.n, m)
-    check_work(count * m, ENUM_CAP, "index cells", f"enumeration of C({p.n}, {m}) subsets")
+    check_work(count * m, ENUM_CAP, "index cells", what)
     idx = np.fromiter(chain.from_iterable(combinations(range(p.n), m)), np.intp,
                       count=count * m).reshape(count, m)
     sx = p.xs[idx].sum(axis=1)

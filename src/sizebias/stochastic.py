@@ -17,8 +17,7 @@ import numpy as np
 from . import sum_bias
 from .dist_core import (_FAMILIES, DiscreteDist, NamedDist, check_work, closed_form_size_bias,
                         merge_atoms, named_mean, row_blocks, size_bias_discrete)
-from .errors import (ConstantInput, DomainError, HorizonTooShort, NonzeroMean, NoSampler,
-                     SupportOverflow, ZeroMean)
+from .errors import BoundViolated, DomainError, NoSampler, SupportOverflow, ZeroMean
 
 _CHUNK = 20_000
 ARRIVAL_CELL_CAP = 100_000_000  # arrival buffers past this many cells are refused
@@ -31,7 +30,7 @@ ARRIVAL_CELL_CAP = 100_000_000  # arrival buffers past this many cells are refus
 def _interarrival_mean(dist) -> float:
     if isinstance(dist, DiscreteDist):
         if dist.xs[0] <= 0:
-            raise ValueError("interarrival support must be strictly positive")
+            raise DomainError("interarrival support must be strictly positive")
         mean = dist.mean()
     elif isinstance(dist, NamedDist):
         if _FAMILIES[dist.kind].sampler is None:
@@ -123,7 +122,7 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
     if not math.isfinite(horizon):
         raise DomainError(f"horizon must be finite, got {horizon}")
     if horizon < 50.0 * mean:
-        raise HorizonTooShort(f"horizon {horizon} below 50 interarrival means")
+        raise DomainError(f"horizon {horizon} below 50 interarrival means")
     lengths = np.empty(n)
     waits = np.empty(n)
     for lo, cum in _arrival_chunks(interarrival, rng, n, horizon):
@@ -137,7 +136,7 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
         del cum     # let a joined matrix go before the next chunk is drawn
     bad = np.flatnonzero(~((waits >= 0.0) & (waits <= lengths + 1e-12)))
     if bad.size:
-        raise ValueError(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
+        raise BoundViolated(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
     return np.rec.fromarrays([lengths, waits], names="covering_length,residual_wait")
 
 
@@ -190,10 +189,10 @@ class SkorohodCoupling:
         object.__setattr__(self, "uv_atoms",
                            tuple((float(u), float(v), float(p)) for u, v, p in self.uv_atoms))
         if abs(self.p_plus + self.p_zero + self.p_minus - 1.0) > 1e-12:
-            raise ValueError("sign probabilities must sum to 1")
+            raise DomainError("sign probabilities must sum to 1")
         total = sum(p for _, _, p in self.uv_atoms)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities sum to {total}")
+            raise DomainError(f"atom probabilities sum to {total}")
 
 
 def skorohod_coupling(x: DiscreteDist) -> SkorohodCoupling:
@@ -206,9 +205,9 @@ def skorohod_coupling(x: DiscreteDist) -> SkorohodCoupling:
     side is what makes the exit law come back as x.
     """
     if abs(x.mean()) > 1e-12:
-        raise NonzeroMean(f"mean {x.mean()} must vanish")
+        raise DomainError(f"mean {x.mean()} must vanish")
     if x.xs.size < 2:
-        raise ConstantInput("constant laws embed trivially, nothing to build")
+        raise DomainError("constant laws embed trivially, nothing to build")
     neg = x.xs < 0
     pos = x.xs > 0
     # both branches land on the grid supp(A) x supp(B), refused here before it is built

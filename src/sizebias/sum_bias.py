@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import DiscreteDist, check_work, merge_atoms, size_bias_discrete
-from .errors import (
-    SupportOverflow,
-    ZeroInSupport,
-    ZeroMeanComponent,
-    ZeroMeanTerm,
-)
+from .errors import DomainError, SupportOverflow, ZeroMean
 
 CONV_ATOM_CAP = 1_000_000
 UNIFORM_STAR_DEPTH = 52    # binary digits: the whole double mantissa
@@ -34,11 +29,11 @@ class IndependentSum:
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("need at least one term")
+            raise DomainError("need at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
         for i, t in enumerate(self.terms):
             if t.mean() <= 0:
-                raise ZeroMeanTerm(f"term {i} has mean {t.mean()}")
+                raise ZeroMean(f"term {i} has mean {t.mean()}")
 
 
 def index_distribution(s: IndependentSum) -> np.ndarray:
@@ -106,7 +101,7 @@ def sample_size_biased_sum(s: IndependentSum, rng, n: int) -> np.ndarray:
     components; any joint law works and independence is the simplest.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
+        raise DomainError(f"need n >= 1 draws, got {n}")
     total = np.zeros(n)
     draws = [t.sample(rng, n) for t in s.terms]
     for d in draws:
@@ -128,9 +123,9 @@ def size_biased_product_pmf(terms) -> DiscreteDist:
     star = []
     for i, t in enumerate(terms):
         if t.xs[0] <= 0:
-            raise ZeroInSupport(f"factor {i} has support point {t.xs[0]}")
+            raise DomainError(f"factor {i} has support point {t.xs[0]}")
         if t.mean() <= 0:
-            raise ZeroMeanTerm(f"factor {i} has mean {t.mean()}")
+            raise ZeroMean(f"factor {i} has mean {t.mean()}")
         star.append(size_bias_discrete(t))
     return product_pmf(star)
 
@@ -151,10 +146,10 @@ def size_bias_mixture(components, weights):
     """
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("mixture weights must sum to 1")
+        raise DomainError("mixture weights must sum to 1")
     means = np.array([c.mean() for c in components])
     if np.any(means <= 0):
-        raise ZeroMeanComponent(f"component mean {means.min()} is not positive")
+        raise ZeroMean(f"component mean {means.min()} is not positive")
     new_w = weights * means
     new_w = new_w / new_w.sum()
     return mix([size_bias_discrete(c) for c in components], new_w), new_w

@@ -234,6 +234,9 @@ def test_tiny_coupling_bound_underflows_to_zero():
     cp = sb.ConcentrationParams(1.0, 1e-9, 2.0)
     assert sb.concentration_upper(cp) == (0.0, 0.0)
     assert sb.tail_iteration(cp) == 0.0
+    # x/c = 2e-308 and 2e-300: r - m + 1 rounds to 0, a pole of log Gamma
+    for c in (1e308, 1e300):
+        assert abs(sb.tail_iteration(sb.ConcentrationParams(1.0, c, 2.0)) - 0.5) <= 1e-12
     tight, gauss = sb.concentration_lower(sb.ConcentrationParams(2.0, 1e-9, 1.0))
     assert tight == gauss == 0.0
     with pytest.raises(ValueError):

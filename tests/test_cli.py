@@ -262,6 +262,10 @@ def test_concentration_sides(capsys):
     assert "iteration" not in lo
     at_mean = run_json(capsys, "concentration", "--a", "4", "--c", "1", "--x", "4")
     assert at_mean["side"] == "upper" and "iteration" not in at_mean
+    # x/c = 2e-308, so r - m + 1 rounds onto the pole of log Gamma at 0; the bound is min(a/x, 1)
+    for c in ("1e308", "1e300"):
+        far = run_json(capsys, "concentration", "--a", "1", "--c", c, "--x", "2")
+        assert abs(far["iteration"] - 0.5) <= 1e-12, c
 
 
 # -------------------------------------------------------------------
@@ -446,6 +450,24 @@ def test_exit_2_on_bad_input(capsys, tmp_path):
         ["compound-poisson", "--a", "2.0"],
         ["orbit", "--b", "1.0", "--c", "1.001"],
     ]
+    big = tmp_path / "big.csv"
+    big.write_text("x,y\n1e308,1\n1e308,2\n")
+    # non-finite values refused where the object is built, and overflows refused before numpy
+    # or the writer sees them; in process, so a RuntimeWarning fails the test
+    named = {("dickman", "--a", "nan"): "mean must be finite, got nan",
+             ("buchstab", "--a", "nan", "--b", "0.5"): "mean must be finite, got nan",
+             ("dickman", "--a", "1", "--xmax", "nan"): "xmax must be finite, got nan",
+             ("stieltjes", "--sigma", "nan"): "sigma must be finite, got nan",
+             ("stieltjes", "--sigma", "inf"): "sigma must be finite, got inf",
+             ("midzuno", "--csv", str(big), "--m", "2"): "x values sum past the double range",
+             ("dickman", "--a", "500"):
+                 "the density's integral at mean 500 leaves the double range before xmax = 5",
+             ("transform", "--dist", "lognormal:1000,1"):
+                 "mean of lognormal(1000, 1) is past the double range",
+             ("renewal", "--interarrival", "lognormal:1000,1"):
+                 "mean of lognormal(1000, 1) is past the double range"}
+    for argv, message in named.items():
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
     errors = []
     for argv in cases:
         start = time.perf_counter()

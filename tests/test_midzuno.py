@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import comb
 
@@ -5,9 +6,7 @@ import numpy as np
 import pytest
 
 import sizebias as sb
-from sizebias.errors import (
-    BadSampleSize, BadSubsetSize, DomainError, SupportOverflow, ZeroDenominator,
-)
+from sizebias.errors import DomainError, SupportOverflow
 
 RNG = np.random.default_rng(np.random.Philox(20240820))
 
@@ -27,6 +26,9 @@ def test_population_validation():
                    ([1.0, 2.0], [np.nan, 0.0])):
         with pytest.raises(DomainError):
             sb.Population(np.array(xs), np.array(ys))
+    # finite values whose total is not: refused before a draw, without a RuntimeWarning
+    with pytest.raises(SupportOverflow, match="x values sum past the double range"):
+        sb.Population(np.array([1e308, 1e308]), np.array([1.0, 2.0]))
 
 
 def test_two_unit_subset_probability():
@@ -51,6 +53,12 @@ def test_exact_unbiasedness():
         want = p.ys.sum() / p.xs.sum()
         for m in range(1, n + 1):
             assert sb.exact_expectation(p, m) == pytest.approx(want, abs=1e-12)
+    # every enumeration of at most 20 units runs
+    rng = np.random.default_rng(4)
+    for n in range(2, 21):
+        p = sb.Population(rng.uniform(0.05, 4.0, n), rng.normal(size=n))
+        for m in range(1, n + 1):
+            assert sb.exact_expectation(p, m) == pytest.approx(p.ys.sum() / p.xs.sum(), abs=1e-12)
     # 25 units taken 3 at a time are 6,900 index cells, well under the cap
     rng = np.random.default_rng(3)
     p = sb.Population(rng.uniform(0.05, 4.0, 25), rng.normal(size=25))
@@ -135,18 +143,18 @@ def test_csv_loader_rejects_bad_input(tmp_path):
 
 def test_error_paths():
     p = sb.Population(np.array([1.0, 2.0, 3.0]), np.zeros(3))
-    with pytest.raises(BadSampleSize):
+    with pytest.raises(DomainError, match=r"sample size 0 outside 1\.\.3"):
         sb.midzuno_sample(p, 0, RNG)
-    with pytest.raises(BadSampleSize):
+    with pytest.raises(DomainError, match=r"sample size 4 outside 1\.\.3"):
         sb.midzuno_sample(p, 4, RNG)
-    with pytest.raises(BadSampleSize):
+    with pytest.raises(DomainError, match=r"sample size 0 outside 1\.\.3"):
         sb.exact_expectation(p, 0)
-    with pytest.raises(BadSubsetSize):
+    with pytest.raises(DomainError, match=r"is not 2 distinct indices"):
         sb.subset_probability(p, (0, 0), 2)
-    with pytest.raises(BadSubsetSize):
+    with pytest.raises(DomainError, match=r"is not 3 distinct indices"):
         sb.subset_probability(p, (0, 1), 3)
     zero = sb.Population(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(DomainError, match=r"sampled x values sum to zero"):
         sb.ratio_estimate(zero, (0,))
     # 5,200,300 subsets of 12 index cells each
     big = sb.Population(np.ones(25), np.ones(25))
@@ -156,6 +164,13 @@ def test_error_paths():
     huge = sb.Population(np.ones(3000), np.ones(3000))
     with pytest.raises(SupportOverflow, match=r"needs 2\.688e\+904 index cells"):
         sb.exact_expectation(huge, 1500)
+    # C(10^6, 5 * 10^5) has 301,027 digits: refused on its log-gamma value, without computing it
+    p = sb.Population(np.ones(10 ** 6), np.ones(10 ** 6))
+    start = time.perf_counter()
+    with pytest.raises(SupportOverflow, match=r"C\(1000000, 500000\) subsets needs "
+                                              r"3\.950e\+301032 index cells, over 1847560"):
+        sb.exact_expectation(p, 5 * 10 ** 5)
+    assert time.perf_counter() - start < 0.1
     # every enumeration of at most 20 units fits; n = 20 at m = 10 and 11 meets the cap exactly
     from sizebias.midzuno import ENUM_CAP
     assert max(comb(n, m) * m for n in range(2, 21) for m in range(1, n + 1)) == ENUM_CAP

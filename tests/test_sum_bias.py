@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sizebias as sb
-from sizebias.errors import SupportOverflow, ZeroInSupport, ZeroMeanComponent, ZeroMeanTerm
+from sizebias.errors import DomainError, SupportOverflow, ZeroMean
 
 RNG = np.random.Generator(np.random.Philox(5150))
 
@@ -48,7 +48,7 @@ def test_index_distribution_weights_by_mean():
 
 
 def test_sum_rejects_zero_mean_term():
-    with pytest.raises(ZeroMeanTerm):
+    with pytest.raises(ZeroMean, match=r"term 0 has mean 0"):
         sb.IndependentSum((sb.DiscreteDist.from_pairs([(0.0, 1.0)]),
                            sb.DiscreteDist.from_pairs([(1.0, 1.0)])))
 
@@ -71,7 +71,7 @@ def test_sum_rule_random(seed, nterms):
     terms = [small_dist(rng) for _ in range(nterms)]
     try:
         s = sb.IndependentSum(tuple(terms))
-    except ZeroMeanTerm:
+    except ZeroMean:
         return
     lhs = sb.size_biased_sum_pmf(s)
     rhs = sb.size_bias_discrete(sb.convolve_all(terms))
@@ -199,7 +199,7 @@ def test_product_cap_checked_before_allocating():
 
 def test_product_rejects_zero_atom():
     d = sb.DiscreteDist.from_pairs([(0.0, 0.5), (1.0, 0.5)])
-    with pytest.raises(ZeroInSupport):
+    with pytest.raises(DomainError, match=r"factor 0 has support point 0"):
         sb.size_biased_product_pmf((d, d))
 
 
@@ -254,7 +254,7 @@ def test_truncation_bound_carried_through_sums_products_and_mixtures():
 def test_mixture_rejects_zero_mean_component():
     z = sb.DiscreteDist.from_pairs([(0.0, 1.0)])
     d = sb.DiscreteDist.from_pairs([(1.0, 1.0)])
-    with pytest.raises(ZeroMeanComponent):
+    with pytest.raises(ZeroMean, match=r"component mean 0\.0 is not positive"):
         sb.size_bias_mixture((z, d), (0.5, 0.5))
 
 
