@@ -1,8 +1,8 @@
 """Command line front end: one JSON (or CSV) document per invocation.
 
-Reproducibility contract.  All randomness flows from numpy's Philox
-generator, a counter-based 64-bit bit stream.  The stream used by a
-subcommand is derived from the seed as
+Reproducibility contract.  Only ``midzuno`` and ``renewal`` draw random
+numbers, so only they take ``--seed``.  Their streams come from numpy's
+Philox generator, a counter-based 64-bit bit stream, derived as
 
     SeedSequence(seed, spawn_key=(position of its row in _COMMANDS, stream))
 
@@ -60,25 +60,14 @@ DEFAULT_SEED = 0xC0FFEE
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation depends on; equal configs mean equal bytes.
+    """Where and how one invocation writes its document."""
 
-    ``params`` holds the subcommand-specific values (sorted key order)
-    so the whole run is a hashable record.
-    """
-
-    command: str
-    seed: int
-    format: str = "json"
-    out: str | None = None
-    params: tuple = ()
+    format: str
+    out: str | None
 
     @classmethod
     def from_namespace(cls, args) -> "RunConfig":
-        skip = {"command", "seed", "format", "out", "func"}
-        # a repeated option's values as a tuple, so the record stays hashable
-        params = tuple(sorted((k, tuple(v) if isinstance(v, list) else v)
-                              for k, v in vars(args).items() if k not in skip))
-        return cls(args.command, args.seed, args.format, args.out, params)
+        return cls(args.format, args.out)
 
 
 def derive_rng(seed: int, name: str, stream: int = 0) -> np.random.Generator:
@@ -271,7 +260,7 @@ def _cmd_buchstab(args) -> dict:
 
 
 def _cmd_orbit(args) -> dict:
-    o = orbit_pmf(args.b, args.c, M=args.half_width)
+    o = orbit_pmf(args.b, args.c)
     d = orbit_as_dist(o)
     return {"b": o.b, "c": o.c, "half_width": o.M, "normalizer": o.t,
             "mean": d.mean(), "size_bias_check": orbit_size_bias_check(d),
@@ -288,7 +277,7 @@ def _cmd_stieltjes(args) -> dict:
 
 
 def _cmd_berg(args) -> dict:
-    d = berg_pmf(args.sign, args.c, M=args.half_width)
+    d = berg_pmf(args.sign, args.c)
     return {"sign": args.sign, "c": args.c,
             "moments": [moment(d, k) for k in range(4)],
             "size_bias_check": orbit_size_bias_check(d),
@@ -390,7 +379,8 @@ def _dists(each: str) -> tuple:
 
 
 _GRID = (("--h", dict(type=float, default=1e-3)), ("--xmax", dict(type=float, default=5.0)))
-_HALF_WIDTH = ("--half-width", dict(type=_positive, default=None))
+_SEED = ("--seed", dict(type=_u64, default=DEFAULT_SEED,
+                        help="64-bit stream seed (fixed default for reproducibility)"))
 
 # one row per subcommand, in the order that keys each random stream
 # (module docstring): append new rows, never insert
@@ -412,24 +402,23 @@ _COMMANDS = {
         ("--a", dict(type=float, required=True)), ("--b", dict(type=float, required=True)),
         *_GRID)),
     "orbit": _Command(_cmd_orbit, "geometric-grid law with lognormal moments", (
-        ("--b", dict(type=float, required=True)), ("--c", dict(type=float, required=True)),
-        _HALF_WIDTH)),
+        ("--b", dict(type=float, required=True)), ("--c", dict(type=float, required=True)))),
     "stieltjes": _Command(_cmd_stieltjes, "perturbed lognormal density moments", (
         ("--m", dict(type=_positive, default=1)), ("--delta", dict(type=float, default=0.5)),
         ("--sigma", dict(type=float, default=1.0)), ("--kmax", dict(type=_positive, default=4)))),
     "berg": _Command(_cmd_berg, "signed-perturbation lognormal-moment law", (
         ("--sign", dict(type=int, choices=(-1, 1), required=True)),
-        ("--c", dict(type=float, required=True)), _HALF_WIDTH)),
+        ("--c", dict(type=float, required=True)))),
     "mixture-check": _Command(_cmd_mixture_check, "lognormal as mixture of geometric-grid laws", (
         ("--c", dict(type=float, required=True)),)),
     "midzuno": _Command(_cmd_midzuno, "unequal-probability sampling estimate", (
         ("--csv", dict(required=True, help="population file, header x,y")),
-        ("--m", dict(type=_positive, required=True, help="sample size")))),
+        ("--m", dict(type=_positive, required=True, help="sample size")), _SEED)),
     "renewal": _Command(_cmd_renewal, "inspection-paradox Monte Carlo", (
         ("--interarrival", dict(required=True)), ("--horizon", dict(type=float, default=200.0)),
         ("--n", dict(type=_positive, default=10000)),
         ("--workers", dict(type=_positive, default=1,
-                           help="independent streams; 1 is the reference")))),
+                           help="independent streams; 1 is the reference")), _SEED)),
     "skorohod": _Command(_cmd_skorohod, "Brownian interval embedding a mean-zero law", (
         ("--dist", dict(required=True,
                         help="mean-zero law, e.g. atoms:-1=0.5,1=0.5 or @file.json")),)),
@@ -444,8 +433,6 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_u64, default=DEFAULT_SEED,
-                        help="64-bit stream seed (fixed default for reproducibility)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output here instead of stdout")
 

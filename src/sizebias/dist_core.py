@@ -357,6 +357,13 @@ def _lognormal_mean(mu, sigma2):
         return math.inf
 
 
+def _beta_mean(a, b):
+    if math.isfinite(a + b):
+        return a / (a + b)
+    # a + b past the double range: halving is exact and leaves the quotient unchanged
+    return (a / 2) / (a / 2 + b / 2)
+
+
 def _dirac_transform(c):
     if c <= 0:
         raise ZeroMean("point mass at 0 cannot be size biased")
@@ -398,7 +405,7 @@ _FAMILIES = {
     "dirac": _Family(("c",), "any c", lambda c: True, lambda c: c, _dirac_transform,
                      lambda g, out, c: out.fill(c)),
     "beta": _Family(("a", "b"), "a > 0, b > 0", lambda a, b: a > 0 and b > 0,
-                    lambda a, b: a / (a + b), lambda a, b: (0.0, "beta", (a + 1, b)),
+                    _beta_mean, lambda a, b: (0.0, "beta", (a + 1, b)),
                     lambda g, out, a, b: _fill_rows(out, lambda shape: g.beta(a, b, size=shape))),
 }
 

@@ -91,14 +91,21 @@ def auto_M(b: float, c: float) -> int:
 
 
 def _orbit_grid(b: float, c: float, M: int | None):
-    """(M, n, terms, points b*c^n) for n = -M..M at a base b >= 1; M = None takes auto_M."""
+    """(M, n, terms, points b*c^n, t = theta_t(b, c)) for n = -M..M at a base b >= 1.
+
+    M = None takes auto_M.  Raises TruncationTooSevere when an edge term
+    still carries TRUNC_MASS of the law.
+    """
+    t = theta_t(b, c)
     M = auto_M(b, c) if M is None else M
     lb, lc = math.log(b), math.log(c)
     ns, terms = _orbit_terms(lb, lc, M)
     # refused before c^n is taken; with b >= 1 the bottom point is at least 1/top, not 0
     if lb + M * lc > math.log(np.finfo(float).max):
         raise DomainError(f"orbit grid top b*c^{M} = e^{lb + M * lc:.6g} is past the double range")
-    return M, ns, terms, b * c ** ns.astype(float)
+    if terms[0] / t >= TRUNC_MASS or terms[-1] / t >= TRUNC_MASS:
+        raise TruncationTooSevere(f"edge mass at half-width {M} still above {TRUNC_MASS}")
+    return M, ns, terms, b * c ** ns.astype(float), t
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +128,7 @@ class OrbitDist:
 def orbit_pmf(b: float, c: float, M: int | None = None) -> OrbitDist:
     """Construct the orbit law; b outside [1,c) is reduced first."""
     b = reduce_base(float(b), float(c))
-    t = theta_t(b, c)
-    M, _, terms, xs = _orbit_grid(b, c, M)
-    if terms[0] / t >= TRUNC_MASS or terms[-1] / t >= TRUNC_MASS:
-        raise TruncationTooSevere(f"edge mass at half-width {M} still above {TRUNC_MASS}")
+    M, _, terms, xs, t = _orbit_grid(b, c, M)
     return OrbitDist(b, c, M, xs, terms / terms.sum(), t)
 
 
@@ -139,7 +143,7 @@ def orbit_moment(o: OrbitDist, k: int) -> float:
     move the answer at relative 1e-8.
     """
     val = float((o.xs ** k) @ o.masses)
-    _, _, terms, xs = _orbit_grid(o.b, o.c, o.M + 1)
+    _, _, terms, xs, _ = _orbit_grid(o.b, o.c, o.M + 1)
     edge = max(xs[-1] ** k * terms[-1], xs[0] ** k * terms[0]) / o.t
     if edge > 1e-8 * abs(val):
         raise TruncationTooSevere(f"moment k={k} needs a wider orbit, edge term {edge:.2e}")
@@ -220,8 +224,13 @@ def stieltjes_moment(s: StieltjesDensity, n: int) -> float:
     The substitution turns the integrand e^(n sigma z) times the normal
     density, a Gaussian bump at z = n sigma; z within 10 of the bump
     leaves tails below 1e-20 of the moment e^(n^2 sigma^2 / 2).  Raises
-    SupportOverflow where that moment overflows a double.
+    SupportOverflow where that moment overflows a double, and DomainError
+    where the wiggle's m/sigma cycles per unit z reach the grid's Nyquist
+    rate STIELTJES_PANELS/40, past which the grid aliases it.
     """
+    if s.m / s.sigma >= STIELTJES_PANELS / 40:
+        raise DomainError(f"m/sigma = {s.m / s.sigma:.6g} is at or past {STIELTJES_PANELS // 40}, "
+                          f"the Nyquist rate of the {STIELTJES_PANELS}-panel quadrature grid")
     top = n * s.sigma
     if top * top / 2 > math.log(np.finfo(float).max):
         raise SupportOverflow(f"moment n={n} is e^{top * top / 2:.4g}, past the double range")
@@ -297,6 +306,6 @@ def berg_pmf(s: int, c: float, M: int | None = None) -> DiscreteDist:
     if s not in (-1, 1):
         raise DomainError(f"sign must be -1 or +1, got {s}")
     _check_domain(c)
-    _, ns, terms, xs = _orbit_grid(math.sqrt(c), c, M)
+    _, ns, terms, xs, _ = _orbit_grid(math.sqrt(c), c, M)
     masses = (1.0 + s * (-1.0) ** ns) * terms
     return DiscreteDist(xs, masses / masses.sum())

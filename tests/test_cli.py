@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -379,20 +380,30 @@ def test_stream_order_is_pinned(stream):
 
 
 def test_run_config_is_a_value():
-    argv = ["stein", "--n", "5", "--p", "0.2", "--seed", "9"]
+    argv = ["stein", "--n", "5", "--p", "0.2", "--format", "csv", "--out", "res.csv"]
     cfg1 = RunConfig.from_namespace(build_parser().parse_args(argv))
     cfg2 = RunConfig.from_namespace(build_parser().parse_args(argv))
-    assert cfg1 == cfg2
-    assert cfg1.seed == 9 and cfg1.command == "stein"
-    assert dict(cfg1.params) == {"n": 5, "p": 0.2}
-    other = RunConfig.from_namespace(
-        build_parser().parse_args(["stein", "--n", "5", "--p", "0.2", "--seed", "10"]))
-    assert other != cfg1
-    # a repeated option is kept as a tuple, so the record stays hashable
-    argv = ["sum", "--dist", "poisson:1", "--dist", "poisson:2"]
-    cfg = RunConfig.from_namespace(build_parser().parse_args(argv))
-    assert dict(cfg.params) == {"dist": ("poisson:1", "poisson:2")}
-    assert hash(cfg) == hash(RunConfig.from_namespace(build_parser().parse_args(argv)))
+    assert cfg1 == cfg2 and hash(cfg1) == hash(cfg2)
+    assert (cfg1.format, cfg1.out) == ("csv", "res.csv")
+    plain = build_parser().parse_args(["stein", "--n", "5", "--p", "0.2"])
+    assert RunConfig.from_namespace(plain) == RunConfig("json", None)
+
+
+def test_only_the_seeded_subcommands_take_a_seed(capsys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in sp._actions for f in a.option_strings}
+             for name, sp in sub.choices.items()}
+    assert sorted(name for name, fs in flags.items() if "--seed" in fs) == ["midzuno", "renewal"]
+    assert not any("--half-width" in fs for fs in flags.values())
+    settable = [a for sp in sub.choices.values() for a in sp._actions
+                if a.option_strings and a.dest != "help"]
+    assert len(settable) == 70
+    for argv in (["stein", "--n", "5", "--p", "0.2", "--seed", "9"],
+                 ["orbit", "--b", "1.5", "--c", "2", "--half-width", "20"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_out_file(tmp_path, capsys):
@@ -459,6 +470,13 @@ def test_exit_2_on_bad_input(capsys, tmp_path):
              ("dickman", "--a", "1", "--xmax", "nan"): "xmax must be finite, got nan",
              ("stieltjes", "--sigma", "nan"): "sigma must be finite, got nan",
              ("stieltjes", "--sigma", "inf"): "sigma must be finite, got inf",
+             # the wiggle at or past the Nyquist rate of the quadrature grid aliases
+             ("stieltjes", "--m", "5000"):
+                 "m/sigma = 5000 is at or past 2500, the Nyquist rate of the 100000-panel "
+                 "quadrature grid",
+             ("stieltjes", "--m", "1000000000000"):
+                 "m/sigma = 1e+12 is at or past 2500, the Nyquist rate of the 100000-panel "
+                 "quadrature grid",
              ("midzuno", "--csv", str(big), "--m", "2"): "x values sum past the double range",
              ("dickman", "--a", "500"):
                  "the density's integral at mean 500 leaves the double range before xmax = 5",
@@ -509,7 +527,7 @@ def test_unknown_subcommand_exits_2():
 
 def test_bad_seed_exits_2():
     with pytest.raises(SystemExit) as exc:
-        main(["stein", "--n", "2", "--p", "0.5", "--seed", "-1"])
+        main(["midzuno", "--csv", "pop.csv", "--m", "2", "--seed", "-1"])
     assert exc.value.code == 2
 
 
@@ -594,8 +612,6 @@ def test_former_crash_and_hang_argv_exit_cleanly():
                   "--n", "9999999"],
                  ["stieltjes", "--kmax", "1000000000"],
                  ["stieltjes", "--kmax", "40"],
-                 ["orbit", "--b", "1.5", "--c", "2", "--half-width", "1000000000000"],
-                 ["berg", "--sign", "1", "--c", "2", "--half-width", "1000000000000"],
                  ["transform", "--dist", "borel:0.999"])
     for argv in (*bad_input, *unbounded):
         p = _fresh_python("-m", "sizebias.cli", *argv, timeout=30)

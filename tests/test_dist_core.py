@@ -285,6 +285,9 @@ def test_named_mean_table():
         (("borel", (0.5,)), 2.0),
         (("dirac", (3.25,)), 3.25),
         (("beta", (2.0, 1.0)), 2.0 / 3.0),
+        # a + b overflows; the mean is taken on the halves
+        (("beta", (1e308, 1e308)), 0.5),
+        (("beta", (1.5e308, 0.5e308)), 0.75),
     ]
     for (kind, params), want in cases:
         assert np.isclose(sb.named_mean(sb.NamedDist(kind, params)), want, rtol=1e-12)

@@ -202,6 +202,9 @@ def test_berg_midpoint_is_orbit():
 def test_berg_validation():
     with pytest.raises(ValueError):
         sb.berg_pmf(2, 2.0)
+    # half-width 1 keeps the n = -1 term, mass 1/t: refused, not silently truncated
+    with pytest.raises(TruncationTooSevere, match="edge mass at half-width 1"):
+        sb.berg_pmf(1, 2.0, M=1)
 
 
 def test_orbit_grids_past_the_double_range_are_refused():
