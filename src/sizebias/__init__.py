@@ -14,7 +14,6 @@ from .dist_core import (
     ShiftedNamed,
     closed_form_size_bias,
     tabulate_named,
-    named_density,
     named_mean,
     size_bias_discrete,
     size_bias_density,
@@ -22,12 +21,8 @@ from .dist_core import (
     moment,
     scale,
     char_fn,
-    size_biased_char_fn,
-    size_biased_char_fn_fd,
     dominance_check,
-    size_bias_by_conditioning,
     borel_pmf,
-    atoms_close,
     max_atom_gap,
     dist_to_json,
     dist_from_json,
@@ -38,7 +33,6 @@ from .sum_bias import (
     convolve,
     convolve_all,
     size_biased_sum_pmf,
-    sample_size_biased_sum,
     size_biased_product_pmf,
     product_pmf,
     size_bias_mixture,
@@ -53,7 +47,6 @@ from .inf_div import (
     pmf_recursion,
     extract_increment,
     log_convexity_check,
-    levy_char_fn,
     dickman_solve,
     buchstab_solve,
     levy_to_json,
@@ -69,10 +62,8 @@ from .lognormal import (
     orbit_size_bias_check,
     lognormal_density,
     StieltjesDensity,
-    stieltjes_density,
     stieltjes_moment,
     mixture_normalizer,
-    mixture_density_hc,
     mixture_reconstruction_check,
     berg_pmf,
 )
@@ -94,11 +85,9 @@ from .stochastic import (
     expected_exit_time,
 )
 from .bounds import (
-    CouplingGap,
     ConcentrationParams,
     tv_distance,
     stein_poisson_bound,
-    estimate_coupling_gap,
     binomial_poisson_check,
     concentration_upper,
     concentration_lower,

@@ -9,6 +9,7 @@ X* - X <= c forces sub-Poissonian tails on both sides.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +20,6 @@ from .dist_core import merge_atoms  # noqa: F401  (unused; bench/spans.py traces
 from .errors import BoundViolated, DomainError
 
 TAIL_TERM_CUT = 1e-18      # stop tail sums once terms fall below this x partial
-
-
-@dataclass(frozen=True)
-class CouplingGap:
-    """E|X* - (X+1)| under some declared coupling of X with X*."""
-
-    gap: float
-    se: float | None = None
-
-    def __post_init__(self):
-        if self.gap < 0:
-            raise DomainError(f"gap must be nonnegative, got {self.gap}")
 
 
 @dataclass(frozen=True)
@@ -51,23 +40,16 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
     return 0.5 * float(np.abs(atom_difference(p, q)).sum())
 
 
-def stein_poisson_bound(lam: float, gap) -> float:
-    """Total variation to Poisson(lam) is at most (1 - e^-lam) * gap."""
-    if lam <= 0:
-        raise DomainError(f"rate must be positive, got {lam}")
-    g = gap.gap if isinstance(gap, CouplingGap) else float(gap)
-    return (1.0 - math.exp(-lam)) * g
+def stein_poisson_bound(lam: float, gap: float) -> float:
+    """Total variation to Poisson(lam) is at most (1 - e^-lam) * gap.
 
-
-def estimate_coupling_gap(draw_pair, n: int, rng) -> CouplingGap:
-    """Monte Carlo gap for a user-supplied coupling sampler.
-
-    ``draw_pair(rng, n)`` must return paired arrays (x_star, x).  The
-    standard error rides along so callers can widen the bound honestly.
+    gap is E|X* - (X+1)| under some coupling of X with X*.
     """
-    x_star, x = draw_pair(rng, n)
-    gaps = np.abs(np.asarray(x_star, dtype=float) - (np.asarray(x, dtype=float) + 1.0))
-    return CouplingGap(float(gaps.mean()), se=float(gaps.std(ddof=1) / math.sqrt(n)))
+    if not lam > 0:
+        raise DomainError(f"rate must be positive, got {lam}")
+    if not gap >= 0:
+        raise DomainError(f"gap must be nonnegative, got {gap}")
+    return (1.0 - math.exp(-lam)) * float(gap)
 
 
 def binomial_poisson_check(n: int, p: float):
@@ -174,17 +156,31 @@ def tail_iteration(cp: ConcentrationParams) -> float:
 
 # exact Poisson tails for calibration against the bounds
 
+def _tail_point(a: float, x) -> int:
+    """x as an int; DomainError unless the rate a is positive and finite and x is integral."""
+    if not (math.isfinite(a) and a > 0):
+        raise DomainError(f"rate must be positive and finite, got {a}")
+    if not (isinstance(x, numbers.Integral) or float(x).is_integer()):
+        raise DomainError(f"tail point must be an integer, got {x}")
+    return int(x)
+
+
 def poisson_upper_tail(a: float, x: int) -> float:
     """P(X >= x) for Poisson(a), summing log-space terms that cannot underflow early.
 
     Past k = max(x, reach) each term is at most a/reach times the one
     before, so reach - a more terms leave a remainder below e^-60 of
-    the sum.
+    the sum.  Every x <= 0 sums the whole table.
     """
+    x = _tail_point(a, x)
     reach = poisson_reach(a)
-    return float(poisson_pmf(a, max(x, reach) + reach - int(a))[x:].sum())
+    hi = max(x, reach) + reach - int(a)
+    check_points(hi + 1, f"Poisson({a:g}) upper tail")
+    return float(poisson_pmf(a, hi)[max(x, 0):].sum())
 
 
 def poisson_lower_tail(a: float, x: int) -> float:
     """P(X <= x) for Poisson(a), summing log-space terms that cannot underflow early."""
+    x = _tail_point(a, x)
+    check_points(x + 1, f"Poisson({a:g}) lower tail")
     return float(poisson_pmf(a, x).sum())

@@ -19,8 +19,6 @@ from .errors import DomainError, NoClosedForm, NoSampler, SizeBiasError, Support
 
 ATOM_MERGE_TOL = 1e-12     # support points closer than this are one atom
 PROB_SUM_TOL = 1e-12       # |sum(p) - 1| allowed
-ATOM_EQ_TOL = 1e-9         # default atom-wise distribution equality
-FD_STEP = 1e-5             # central difference step for the char fn derivative
 GRID_POINT_CAP = 10_000_000  # tabulations and grids past this many points are refused
 TAIL_CUT = 1e-12           # tabulate_named cuts infinite supports below this tail mass
 BLOCK_CELLS = 1 << 16      # cells per row block of a draw or row count (times flat 2^14..2^18)
@@ -379,7 +377,7 @@ class _Family(NamedTuple):
     sampler: Callable | None = None    # (rng, out, *params) -> fills out with draws
 
 
-# one row per family; tabulate_named and named_density keep the per-family numerics
+# one row per family; tabulate_named keeps the per-family numerics
 _FAMILIES = {
     "poisson": _Family(("rate",), "rate > 0", lambda r: r > 0, lambda r: r,
                        lambda r: (1.0, "poisson", (r,))),
@@ -519,53 +517,6 @@ def tabulate_named(nd: NamedDist) -> DiscreteDist:
     raise DomainError(f"{k} is not a discrete family")
 
 
-def named_density(nd: NamedDist, h=1e-3) -> GridDensity:
-    """Grid tabulation of a continuous named family, renormalized.
-
-    The grid runs to the 1 - 1e-12 quantile.  Densities that are
-    infinite at 0 get the value 0 there.  Raises SupportOverflow when
-    that takes more than GRID_POINT_CAP points.
-    """
-    # the quantile functions are the package's only runtime use of scipy
-    from scipy.special import betaincinv, gammaincinv, ndtri, xlogy
-
-    def grid(stop):
-        check_points(stop / h, f"grid to {stop:.4g} at step {h}")
-        return np.arange(0.0, stop, h)
-
-    k, p = nd.kind, nd.params
-    q = 1 - 1e-12
-    if k == "uniform01":
-        xs = grid(1.0 + h / 2)
-        return GridDensity(h, np.ones_like(xs))
-    if k == "exponential":
-        xs = grid(-math.log1p(-q) + h)
-        vals = np.exp(-xs)
-    elif k == "gamma":
-        a = p[0]
-        xs = grid(float(gammaincinv(a, q)) + h)
-        with np.errstate(divide="ignore"):
-            vals = np.exp(xlogy(a - 1.0, xs) - xs - math.lgamma(a))
-    elif k == "lognormal":
-        mu, s = p[0], math.sqrt(p[1])
-        xs = grid(math.exp(mu + s * float(ndtri(q))) + h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(xs) - mu) / s
-            vals = np.where(xs > 0, np.exp(-0.5 * z * z) / (s * xs * math.sqrt(2 * math.pi)), 0.0)
-    elif k == "beta":
-        a, b = p
-        xs = grid(float(betaincinv(a, b, q)) + h)
-        lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.exp(xlogy(a - 1.0, xs) + xlogy(b - 1.0, 1.0 - xs) - lbeta)
-        vals = np.where(xs <= 1.0, vals, 0.0)
-    else:
-        raise DomainError(f"{k} is not a continuous family")
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    total = trapezoid(vals, dx=h)
-    return GridDensity(h, vals / total)
-
-
 # ===================================================================
 # the transform
 # ===================================================================
@@ -645,24 +596,6 @@ def char_fn(d, u: float) -> complex:
     raise TypeError(f"no characteristic function for {type(d).__name__}")
 
 
-def size_biased_char_fn(d: DiscreteDist, u: float) -> complex:
-    """Characteristic function of the transform, via the exact atom list."""
-    return char_fn(size_bias_discrete(d), u)
-
-
-def size_biased_char_fn_fd(d, u: float) -> complex:
-    """Same quantity through the derivative identity phi'(u)/(i*mean).
-
-    Central difference with step FD_STEP keeps the two routes within
-    1e-6 of each other for |u| <= 10.
-    """
-    a = moment(d, 1)
-    if a <= 0:
-        raise ZeroMean("mean must be positive to size bias")
-    dphi = (char_fn(d, u + FD_STEP) - char_fn(d, u - FD_STEP)) / (2 * FD_STEP)
-    return dphi / (1j * a)
-
-
 def dominance_check(d: DiscreteDist) -> bool:
     """Transform never falls below the original in distribution.
 
@@ -671,22 +604,6 @@ def dominance_check(d: DiscreteDist) -> bool:
     """
     star = size_bias_discrete(d)
     return all(star.survival(t) >= d.survival(t) - 1e-12 for t in d.xs)
-
-
-def size_bias_by_conditioning(pairs) -> DiscreteDist:
-    """Empirical law of x over the pairs (x, flag) where flag is set.
-
-    When x plays the role of a conditional probability P(A | F) and flag
-    records whether A occurred, this estimates the transform of the
-    x-law without ever weighting explicitly.
-    """
-    if not pairs:
-        raise DomainError("no pairs supplied")
-    hits = [float(x) for x, a in pairs if a]
-    if not hits:
-        raise DomainError("conditioning event never occurred")
-    xs, counts = np.unique(np.asarray(hits), return_counts=True)
-    return DiscreteDist(xs, counts / counts.sum())
 
 
 def borel_pmf(lam: float) -> DiscreteDist:
@@ -713,11 +630,6 @@ def borel_pmf(lam: float) -> DiscreteDist:
 # ===================================================================
 # comparison and serialization
 # ===================================================================
-
-def atoms_close(d1: DiscreteDist, d2: DiscreteDist, atol=ATOM_EQ_TOL) -> bool:
-    """Atom-wise equality on the union of supports, within atol."""
-    return max_atom_gap(d1, d2) <= atol
-
 
 def atom_difference(d1: DiscreteDist, d2: DiscreteDist) -> np.ndarray:
     """Mass of d1 minus mass of d2 at each atom of the merged union support."""

@@ -259,14 +259,6 @@ def log_convexity_check(fX: DiscreteDist) -> bool:
     return bool(np.all(p[:-2] * p[2:] >= p[1:-1] ** 2 - 1e-15))
 
 
-def levy_char_fn(levy: LevyRepr, u: float) -> complex:
-    """exp of the drift term plus sum rate*(e^{iuy}-1) over the jumps."""
-    acc = 1j * u * levy.a * levy.alpha0
-    for y, r in levy.jumps:
-        acc += r * (np.exp(1j * u * y) - 1.0)
-    return complex(np.exp(acc))
-
-
 # ===================================================================
 # delay equations with uniform increments
 # ===================================================================

@@ -198,7 +198,7 @@ class StieltjesDensity:
     sigma: float
 
     def __post_init__(self):
-        if self.m < 1 or self.m != int(self.m):
+        if not (math.isfinite(self.m) and self.m >= 1 and self.m == int(self.m)):
             raise DomainError("m must be a positive integer")
         if not -1.0 <= self.delta <= 1.0:
             raise DomainError(f"delta {self.delta} outside [-1, 1]")
@@ -206,16 +206,6 @@ class StieltjesDensity:
             raise DomainError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0:
             raise DomainError("sigma must be positive")
-
-
-def stieltjes_density(s: StieltjesDensity, x):
-    scalar = np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    s2 = s.sigma ** 2
-    base = lognormal_density(xa, s2)
-    wiggle = 1.0 + s.delta * np.sin(2 * math.pi * s.m * np.log(np.where(xa > 0, xa, 1.0)) / s2)
-    out = base * wiggle
-    return float(out[0]) if scalar else out
 
 
 def stieltjes_moment(s: StieltjesDensity, n: int) -> float:
@@ -263,13 +253,6 @@ def mixture_normalizer(c: float) -> float:
     if not math.isfinite(out) or out <= 0:
         raise BoundViolated(f"normalizer quadrature returned {out}")
     return out
-
-
-def mixture_density_hc(c: float, b: float) -> float:
-    """Density over the base b in [1, c) governing the orbit mixture."""
-    if not 1.0 <= b < c:
-        raise DomainError(f"base {b} outside [1, {c})")
-    return lognormal_density(b, math.log(c)) * theta_t(b, c) / mixture_normalizer(c)
 
 
 def mixture_reconstruction_check(c: float) -> float:

@@ -94,26 +94,6 @@ def size_biased_sum_pmf(s: IndependentSum) -> DiscreteDist:
     return mixed if rest else mix([mixed], [1.0])    # one term: renormalized as the mixture
 
 
-def sample_size_biased_sum(s: IndependentSum, rng, n: int) -> np.ndarray:
-    """Draw n values of the size-biased sum as S - X_I + X_I*.
-
-    The replacement pair (X_I, X_I*) is drawn with independent
-    components; any joint law works and independence is the simplest.
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1 draws, got {n}")
-    total = np.zeros(n)
-    draws = [t.sample(rng, n) for t in s.terms]
-    for d in draws:
-        total += d
-    which = rng.choice(len(s.terms), size=n, p=index_distribution(s))
-    stars = [size_bias_discrete(t).sample(rng, n) for t in s.terms]
-    for i in range(len(s.terms)):
-        sel = which == i
-        total[sel] += stars[i][sel] - draws[i][sel]
-    return total
-
-
 def size_biased_product_pmf(terms) -> DiscreteDist:
     """Transform of a product of independent positive factors.
 

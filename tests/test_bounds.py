@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import poisson
 
 import sizebias as sb
-from sizebias.errors import BoundViolated, DomainError
+from sizebias.errors import BoundViolated, DomainError, SupportOverflow
 
 RNG = np.random.default_rng(np.random.Philox(20240822))
 
@@ -39,12 +39,14 @@ def test_tv_distance_fixture():
 
 def test_stein_bound_value():
     assert sb.stein_poisson_bound(1.0, 0.1) == pytest.approx((1 - math.exp(-1)) * 0.1)
-    assert sb.stein_poisson_bound(1.0, sb.CouplingGap(0.1)) == pytest.approx(
-        (1 - math.exp(-1)) * 0.1)
     with pytest.raises(ValueError):
         sb.stein_poisson_bound(0.0, 0.1)
-    with pytest.raises(ValueError):
-        sb.CouplingGap(-0.5)
+    with pytest.raises(DomainError, match=r"gap must be nonnegative, got -0.5"):
+        sb.stein_poisson_bound(1.0, -0.5)
+    with pytest.raises(DomainError, match=r"rate must be positive, got nan"):
+        sb.stein_poisson_bound(math.nan, 0.1)
+    with pytest.raises(DomainError, match=r"gap must be nonnegative, got nan"):
+        sb.stein_poisson_bound(1.0, math.nan)
 
 
 def test_binomial_check_frozen():
@@ -87,20 +89,16 @@ def test_binomial_check_validation():
 def test_estimated_gap_matches_shared_summand_coupling():
     # X = sum of n Bernoulli(p); resampling one summand to 1 gives X*,
     # so X* - (X+1) is minus one indicator and the gap estimates p
-    n_terms, p = 12, 0.2
-
-    def draw_pair(rng, n):
-        b = (rng.random((n, n_terms)) < p)
-        x = b.sum(axis=1)
-        j = rng.integers(0, n_terms, size=n)
-        x_star = x - b[np.arange(n), j] + 1
-        return x_star, x
-
-    est = sb.estimate_coupling_gap(draw_pair, 200_000, RNG)
-    assert est.se is not None
-    assert abs(est.gap - p) < 4 * est.se
-    bound = sb.stein_poisson_bound(n_terms * p, est)
-    assert bound == pytest.approx((1 - math.exp(-n_terms * p)) * est.gap)
+    n_terms, p, n = 12, 0.2, 200_000
+    b = (RNG.random((n, n_terms)) < p)
+    x = b.sum(axis=1)
+    j = RNG.integers(0, n_terms, size=n)
+    x_star = x - b[np.arange(n), j] + 1
+    gaps = np.abs(x_star - (x + 1.0))
+    gap, se = float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(n))
+    assert abs(gap - p) < 4 * se
+    bound = sb.stein_poisson_bound(n_terms * p, gap)
+    assert bound == pytest.approx((1 - math.exp(-n_terms * p)) * gap)
 
 
 # -------------------------------------------------------------------
@@ -113,6 +111,26 @@ def test_poisson_tails_match_scipy():
                 float(poisson.sf(x - 1, a)), rel=1e-12)
             assert sb.poisson_lower_tail(a, x) == pytest.approx(
                 float(poisson.cdf(x, a)), rel=1e-12)
+
+
+def test_poisson_tails_below_zero_and_refusals():
+    # P(X >= x) = 1 and P(X <= x) = 0 for x < 0, where a slice from x would wrap
+    assert sb.poisson_upper_tail(1.0, -1) == sb.poisson_upper_tail(1.0, 0)
+    assert sb.poisson_upper_tail(1.0, -1) == pytest.approx(1.0, rel=1e-15)
+    assert sb.poisson_lower_tail(1.0, -1) == 0.0
+    assert sb.poisson_upper_tail(4.0, 3.0) == sb.poisson_upper_tail(4.0, np.int64(3))
+    for tail in (sb.poisson_upper_tail, sb.poisson_lower_tail):
+        for a in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError, match=r"rate must be positive and finite"):
+                tail(a, 3)
+        for x in (2.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match=r"tail point must be an integer"):
+                tail(1.0, x)
+    # 1e12 + 1 and ~1e300 masses, refused before the table is allocated
+    with pytest.raises(SupportOverflow, match=r"needs 1e\+12 points"):
+        sb.poisson_lower_tail(1.0, 10 ** 12)
+    with pytest.raises(SupportOverflow, match=r"needs 1e\+300 points"):
+        sb.poisson_upper_tail(1e300, 3)
 
 
 def test_poisson_upper_tail_returns_where_the_first_term_underflows():

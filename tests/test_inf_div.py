@@ -74,7 +74,10 @@ def test_recursion_char_fn_cross_check():
     levy = sb.LevyRepr(2.0, 0.0, ((1.0, 1.2), (2.0, 0.4)))
     f = sb.pmf_recursion(levy, 80)
     for u in (0.3, 1.0, 2.5, -1.7):
-        assert abs(sb.char_fn(f, u) - sb.levy_char_fn(levy, u)) <= 1e-8
+        # exp of the drift term plus sum rate*(e^{iuy}-1) over the jumps
+        exponent = 1j * u * levy.a * levy.alpha0 + sum(r * (np.exp(1j * u * y) - 1.0)
+                                                       for y, r in levy.jumps)
+        assert abs(sb.char_fn(f, u) - np.exp(exponent)) <= 1e-8
 
 
 def test_recursion_and_extraction_capped_before_allocating():
