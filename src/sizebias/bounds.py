@@ -168,19 +168,24 @@ def _tail_point(a: float, x) -> int:
 def poisson_upper_tail(a: float, x: int) -> float:
     """P(X >= x) for Poisson(a), summing log-space terms that cannot underflow early.
 
-    Past k = max(x, reach) each term is at most a/reach times the one
-    before, so reach - a more terms leave a remainder below e^-60 of
-    the sum.  Every x <= 0 sums the whole table.
+    The table runs from x on.  Past k = max(x, reach) each term is at most
+    a/reach times the one before, so reach - a more terms leave a remainder
+    below e^-60 of the sum.  Every x <= 0 sums the whole table.
     """
     x = _tail_point(a, x)
     reach = poisson_reach(a)
+    lo = max(x, 0)
     hi = max(x, reach) + reach - int(a)
-    check_points(hi + 1, f"Poisson({a:g}) upper tail")
-    return float(poisson_pmf(a, hi)[max(x, 0):].sum())
+    check_points(hi - lo + 1, f"Poisson({a:g}) upper tail")
+    return float(poisson_pmf(a, hi, lo).sum())
 
 
 def poisson_lower_tail(a: float, x: int) -> float:
-    """P(X <= x) for Poisson(a), summing log-space terms that cannot underflow early."""
+    """P(X <= x) for Poisson(a), summing log-space terms that cannot underflow early.
+
+    Every mass past poisson_reach(a) is below 1e-30, so the table stops there.
+    """
     x = _tail_point(a, x)
-    check_points(x + 1, f"Poisson({a:g}) lower tail")
-    return float(poisson_pmf(a, x).sum())
+    hi = min(x, poisson_reach(a))
+    check_points(hi + 1, f"Poisson({a:g}) lower tail")
+    return float(poisson_pmf(a, hi).sum())

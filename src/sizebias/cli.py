@@ -319,6 +319,7 @@ def _cmd_renewal(args) -> dict:
             "mean_covering": float(lengths.mean()),
             "se_covering": float(lengths.std(ddof=1) / math.sqrt(lengths.size)),
             "mean_wait": float(waits.mean()),
+            "se_wait": float(waits.std(ddof=1) / math.sqrt(waits.size)),
             "seed": args.seed}
 
 

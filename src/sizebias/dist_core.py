@@ -154,9 +154,9 @@ def check_points(n, what: str) -> None:
     check_work(n, GRID_POINT_CAP, "points", what)
 
 
-def poisson_pmf(lam: float, hi: int) -> np.ndarray:
-    """Poisson(lam) masses on 0..hi; no term underflows before its true value does."""
-    return _poisson_mass(np.arange(hi + 1.0), lam)
+def poisson_pmf(lam: float, hi: int, lo: int = 0) -> np.ndarray:
+    """Poisson(lam) masses on lo..hi; no term underflows before its true value does."""
+    return _poisson_mass(np.arange(lo, hi + 1.0), lam)
 
 
 # ===================================================================

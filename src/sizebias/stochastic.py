@@ -20,6 +20,7 @@ from .dist_core import (_FAMILIES, DiscreteDist, NamedDist, check_work, closed_f
 from .errors import BoundViolated, DomainError, NoSampler, SupportOverflow, ZeroMean
 
 _CHUNK = 20_000
+_BLOCK = 2_000      # streams drawn together to their largest inspection time
 ARRIVAL_CELL_CAP = 100_000_000  # arrival buffers past this many cells are refused
 
 
@@ -44,47 +45,65 @@ def _interarrival_mean(dist) -> float:
 
 
 def _arrival_chunks(dist, rng, n, span, lead=None):
-    """Yield (lo, cum) per chunk of up to _CHUNK rows: cumulative arrival times past span.
+    """Yield (rows, cum): cumulative arrival times of the streams ``rows``, each past its span.
 
-    Checks the law and ARRIVAL_CELL_CAP, then draws each chunk into one chunk x k0
-    buffer, k0 gaps a row (enough for nearly every row), and sums it in place;
-    ``lead(dist, rows, rng)``, when given, draws the first arrivals before the gaps.
-    Rows still short of span get k0 more arrivals a round, those rows alone, each
-    width checked against the cap first; the rounds are joined once, inf-padded.
+    ``span`` is one value for all n streams or one per stream.  Each chunk of up to
+    _CHUNK streams is sorted, stably, by span and drawn a block at a time, each block
+    only to its largest span: the whole chunk for one span, _BLOCK streams for
+    per-stream spans.  ``rows`` indexes a block's streams in that order.
+
+    Checks the law and ARRIVAL_CELL_CAP, then draws every block into one buffer,
+    sized once for the largest span, k0 gaps a row (enough for nearly every row), and
+    sums it in place; ``lead(dist, rows, rng)``, when given, draws a chunk's first
+    arrivals before its gaps.  Rows still short of their span get k0 more arrivals a
+    round, those rows alone, each width checked against the cap first; the rounds are
+    joined once, inf-padded.
     """
     mean = _interarrival_mean(dist)
-    k0 = span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8
-    check_work(min(n, _CHUNK) * k0, ARRIVAL_CELL_CAP, "arrival cells",
-               f"drawing {min(n, _CHUNK)} streams to {span:.4g}")
-    buf = np.empty((min(n, _CHUNK), int(k0)))
-    k0 = buf.shape[1]
+
+    def gaps_to(s):
+        return s / mean * 1.1 + 10.0 * math.sqrt(s / mean + 1.0) + 8
+
+    block = _BLOCK if np.ndim(span) else _CHUNK
+    spans = np.broadcast_to(np.asarray(span, dtype=float), (n,))
+    top = float(spans.max(initial=0.0))
+    check_work(min(n, block) * gaps_to(top), ARRIVAL_CELL_CAP, "arrival cells",
+               f"drawing {min(n, block)} streams to {top:.4g}")
+    buf = np.empty(min(n, block) * int(gaps_to(top)))
     for lo in range(0, n, _CHUNK):
         rows = min(_CHUNK, n - lo)
         first = None if lead is None else lead(dist, rows, rng)
-        cum = buf[:rows]
-        dist.fill(rng, cum)
-        if first is not None:
-            cum[:, 0] = first
-        np.cumsum(cum, axis=1, out=cum)
-        last = cum[:, -1].copy()
-        rounds = []
-        while last.min() <= span:
-            short = np.flatnonzero(last <= span)
-            check_work(rows * k0 * (len(rounds) + 2), ARRIVAL_CELL_CAP, "arrival cells",
-                       f"drawing {rows} streams to {span:.4g}")
-            extra = dist.sample(rng, (short.size, k0))
-            np.cumsum(extra, axis=1, out=extra)
-            extra += last[short, None]
-            last[short] = extra[:, -1]
-            rounds.append((short, extra))
-        if rounds:
-            cum = np.full((rows, k0 * (len(rounds) + 1)), np.inf)
-            cum[:, :k0] = buf[:rows]
-            for r, (short, extra) in enumerate(rounds, 1):
-                cum[short, r * k0 : (r + 1) * k0] = extra
-            del rounds, short, extra
-        yield lo, cum
-        del cum     # a joined matrix must not stay alive through the next chunk's draw
+        order = np.argsort(spans[lo : lo + rows], kind="stable")   # the identity for one span
+        for b in range(0, rows, block):
+            part = order[b : b + block]
+            s = spans[lo + part]
+            reach = float(s.max())
+            k0 = int(gaps_to(reach))
+            cum = buf[: part.size * k0].reshape(part.size, k0)
+            dist.fill(rng, cum)
+            if first is not None:
+                cum[:, 0] = first[part]
+            np.cumsum(cum, axis=1, out=cum)
+            last = cum[:, -1].copy()
+            rounds = []
+            while (last <= s).any():
+                short = np.flatnonzero(last <= s)
+                check_work(part.size * k0 * (len(rounds) + 2), ARRIVAL_CELL_CAP, "arrival cells",
+                           f"drawing {part.size} streams to {reach:.4g}")
+                extra = dist.sample(rng, (short.size, k0))
+                np.cumsum(extra, axis=1, out=extra)
+                extra += last[short, None]
+                last[short] = extra[:, -1]
+                rounds.append((short, extra))
+            if rounds:
+                joined = np.full((part.size, k0 * (len(rounds) + 1)), np.inf)
+                joined[:, :k0] = cum
+                for r, (short, extra) in enumerate(rounds, 1):
+                    joined[short, r * k0 : (r + 1) * k0] = extra
+                cum = joined
+                del rounds, short, extra, joined
+            yield lo + part, cum
+            del cum     # a joined matrix must not stay alive through the next block's draw
 
 
 def _count_at_most(cum, t) -> np.ndarray:
@@ -107,13 +126,16 @@ def _count_at_most(cum, t) -> np.ndarray:
 def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np.recarray:
     """Inspect n independent renewal streams at uniform times.
 
-    Each draw builds arrivals out to ``horizon``, picks T uniform on
-    [0.1 * horizon, 0.9 * horizon], and records the covering interval's
-    length and the wait to the next arrival.  The left margin clears
-    the startup transient (the stream begins at 0, so early intervals
-    are not yet length-biased); the right margin sidesteps the cut
-    interval at the edge.  The lengths are size-biased relative to a
-    typical interarrival, which is the paradox.
+    Each draw picks T uniform on [0.1 * horizon, 0.9 * horizon], builds
+    arrivals only to the first one past T, and records the covering
+    interval's length and the wait to the next arrival.  The left margin
+    clears the startup transient (the stream begins at 0, so early
+    intervals are not yet length-biased).  The lengths are size-biased
+    relative to a typical interarrival, which is the paradox.
+
+    Each chunk of up to _CHUNK streams draws its T first, then its gaps
+    in blocks of streams sorted by T, each block only to its largest T
+    (``_arrival_chunks``); results land in draw order.
 
     Returns a record array with float columns ``covering_length`` and
     ``residual_wait``, one row per inspection.
@@ -125,15 +147,16 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
         raise DomainError(f"horizon {horizon} below 50 interarrival means")
     lengths = np.empty(n)
     waits = np.empty(n)
-    for lo, cum in _arrival_chunks(interarrival, rng, n, horizon):
-        rows = len(cum)
-        t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
-        j = _count_at_most(cum, t)
-        nxt = cum[np.arange(rows), j]
-        prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
-        lengths[lo : lo + rows] = nxt - prev
-        waits[lo : lo + rows] = nxt - t
-        del cum     # let a joined matrix go before the next chunk is drawn
+    for lo in range(0, n, _CHUNK):
+        t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=min(_CHUNK, n - lo))
+        for rows, cum in _arrival_chunks(interarrival, rng, t.size, t):
+            tr, k = t[rows], np.arange(len(cum))
+            j = _count_at_most(cum, tr)
+            nxt = cum[k, j]
+            prev = np.where(j > 0, cum[k, np.maximum(j - 1, 0)], 0.0)
+            lengths[lo + rows] = nxt - prev
+            waits[lo + rows] = nxt - tr
+            del cum     # let a joined matrix go before the next block is drawn
     bad = np.flatnonzero(~((waits >= 0.0) & (waits <= lengths + 1e-12)))
     if bad.size:
         raise BoundViolated(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
@@ -161,8 +184,8 @@ def stationary_renewal_arrivals(interarrival, window_t: float, n: int, rng) -> n
     if not (math.isfinite(window_t) and window_t > 0):
         raise DomainError(f"window must be positive and finite, got {window_t}")
     counts = np.empty(n, dtype=np.int64)
-    for lo, cum in _arrival_chunks(interarrival, rng, n, window_t, sample_stationary_phase):
-        counts[lo : lo + len(cum)] = _count_at_most(cum, window_t)
+    for rows, cum in _arrival_chunks(interarrival, rng, n, window_t, sample_stationary_phase):
+        counts[rows] = _count_at_most(cum, window_t)
         del cum     # let a joined matrix go before the next chunk is drawn
     return counts
 

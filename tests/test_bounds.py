@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import poisson
 
 import sizebias as sb
+from sizebias.dist_core import poisson_reach
 from sizebias.errors import BoundViolated, DomainError, SupportOverflow
 
 RNG = np.random.default_rng(np.random.Philox(20240822))
@@ -126,11 +127,17 @@ def test_poisson_tails_below_zero_and_refusals():
         for x in (2.5, math.nan, math.inf):
             with pytest.raises(DomainError, match=r"tail point must be an integer"):
                 tail(1.0, x)
-    # 1e12 + 1 and ~1e300 masses, refused before the table is allocated
-    with pytest.raises(SupportOverflow, match=r"needs 1e\+12 points"):
-        sb.poisson_lower_tail(1.0, 10 ** 12)
+    # past poisson_reach(1.0) = 81 every mass is below 1e-30: neither table runs to x
+    assert sb.poisson_lower_tail(1.0, 10 ** 12) == 1.0
+    assert sb.poisson_upper_tail(1.0, 10 ** 12) == 0.0
+    for a in (1.0, 8.0, 800.0):
+        reach = poisson_reach(a)
+        assert sb.poisson_lower_tail(a, reach + 1) == sb.poisson_lower_tail(a, reach)
+    # ~1e300 masses up to the reach, refused before the table is allocated
     with pytest.raises(SupportOverflow, match=r"needs 1e\+300 points"):
         sb.poisson_upper_tail(1e300, 3)
+    with pytest.raises(SupportOverflow, match=r"needs 1e\+300 points"):
+        sb.poisson_lower_tail(1e300, 10 ** 301)
 
 
 def test_poisson_upper_tail_returns_where_the_first_term_underflows():

@@ -317,6 +317,18 @@ def test_renewal_deterministic_and_worker_invariant(capsys):
     assert out_w2 == out_w2b
 
 
+def test_renewal_draws_blocks_where_a_whole_chunk_passes_the_cap(capsys):
+    # one 20,000-stream buffer to 4,200 would take 1.06e8 arrival cells, past the cap;
+    # 2,000 streams at a time, each block to its largest T (under 3,780), take 9.6e6
+    doc = run_json(capsys, "renewal", "--interarrival", "dirac:1", "--horizon", "4200",
+                   "--n", "20000")
+    assert doc["n"] == 20000
+    # unit gaps: every covering interval is 1, and T spans whole periods, so the wait
+    # averages 1/2
+    assert doc["mean_covering"] == 1.0 and doc["se_covering"] == 0.0
+    assert abs(doc["mean_wait"] - 0.5) < 5 * doc["se_wait"]
+
+
 def test_renewal_pool_capped_at_streams_and_cpus(capsys, monkeypatch):
     import sizebias.cli as cli
     seen = []

@@ -121,7 +121,7 @@ def test_inspection_invariant_is_checked(monkeypatch):
     # interval; sorted ones never break 0 <= wait <= length
     for row in ((0.95, 0.05, 2.0), (0.97, 0.96, 0.01, 2.0)):
         monkeypatch.setattr(T, "_arrival_chunks", lambda dist, rng, n, span, row=row, **_:
-                            iter([(0, np.tile(np.array(row) * span, (n, 1)))]))
+                            iter([(np.arange(n), np.tile(np.array(row) * 100.0, (n, 1)))]))
         with pytest.raises(ValueError, match="exceeds interval"):
             sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 100.0, 5,
                                            np.random.default_rng(0))
@@ -156,6 +156,32 @@ def test_exponential_covering_doubles_the_mean():
     se = lengths.std() / math.sqrt(lengths.size)
     assert abs(lengths.mean() - 2.0) < 5 * se
     assert np.all(waits <= lengths + 1e-12)
+
+
+# E[X^2]/E[X] for every family of INTERARRIVALS; the horizon is 200 means, and a lattice
+# law's inspection window spans whole periods, so T's margin of 20 means leaves no
+# start-up bias near one standard error
+COVERING_MEANS = [
+    (sb.NamedDist("exponential", ()), 1.0, 2.0),
+    (sb.NamedDist("gamma", (2.5,)), 2.5, 3.5),
+    (sb.NamedDist("lognormal", (0.0, 0.25)), math.exp(0.125), math.exp(0.375)),
+    (sb.NamedDist("dirac", (1.5,)), 1.5, 1.5),
+    (sb.NamedDist("uniform01", ()), 0.5, 2 / 3),
+    (sb.DiscreteDist(np.array([1.0, 3.0]), np.array([0.5, 0.5])), 2.0, 2.5),
+    (sb.NamedDist("beta", (2.0, 3.0)), 0.4, 0.5),
+]
+
+
+@pytest.mark.parametrize("dist,mean,covering", COVERING_MEANS,
+                         ids=["exponential", "gamma", "lognormal", "dirac", "uniform01", "atoms",
+                              "beta"])
+def test_covering_and_wait_means_match_length_bias(dist, mean, covering):
+    # the covering interval averages E[X^2]/E[X] and the wait half of it, within 4 se
+    out = sb.simulate_renewal_inspection(dist, 200 * mean, 10_000,
+                                         np.random.default_rng(np.random.Philox(24)))
+    for vals, want in ((out.covering_length, covering), (out.residual_wait, covering / 2)):
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - want) <= 4 * se, (vals.mean(), want, se)
 
 
 # -------------------------------------------------------------------
@@ -269,21 +295,25 @@ def test_inspection_holds_one_arrival_buffer():
     import tracemalloc
     expo = sb.NamedDist("exponential", ())
     sb.simulate_renewal_inspection(expo, 60.0, 5, np.random.default_rng(0))    # lazy imports
-    k0 = int(60.0 * 1.1 + 10.0 * math.sqrt(61.0) + 8)
+    n = 3 * T._CHUNK
+    k0 = int(0.9 * 60.0 * 1.1 + 10.0 * math.sqrt(0.9 * 60.0 + 1.0) + 8)   # at the largest T
     tracemalloc.start()
     try:
-        sb.simulate_renewal_inspection(expo, 60.0, 3 * T._CHUNK, np.random.default_rng(1))
+        sb.simulate_renewal_inspection(expo, 60.0, n, np.random.default_rng(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # every chunk draws into the one _CHUNK x k0 buffer; no second one is alive
-    assert peak <= 1.15 * T._CHUNK * k0 * 8
+    # the two output columns and one chunk's times and order, plus the one _BLOCK x k0
+    # buffer every block draws into (2.3 MB); a second one alive would pass the bound
+    assert peak <= 8 * (2 * n + 2 * T._CHUNK) + 1.3 * T._BLOCK * k0 * 8
 
 
 def test_widened_rows_are_joined_once():
     import tracemalloc
     sb.simulate_renewal_inspection(CREEPING_GAP, 100.0, 5, np.random.default_rng(0))  # lazy imports
-    width = next(T._arrival_chunks(CREEPING_GAP, np.random.default_rng(2), 500, 100.0))[1].shape[1]
+    rng = np.random.default_rng(2)
+    t = rng.uniform(10.0, 90.0, 500)    # the inspection's times, drawn before its gaps
+    width = next(T._arrival_chunks(CREEPING_GAP, rng, 500, t))[1].shape[1]
     tracemalloc.start()
     try:
         sb.simulate_renewal_inspection(CREEPING_GAP, 100.0, 500, np.random.default_rng(2))
@@ -339,13 +369,15 @@ def _ref_draw_size_biased(dist, rng, n):
 
 
 def _ref_cum(dist, rng, rows, span, lead=None):
+    # span: one for every row, or one per row; k0 gaps a row reach the largest
     mean = dist.mean() if isinstance(dist, sb.DiscreteDist) else sb.named_mean(dist)
-    k0 = int(span / mean * 1.1 + 10.0 * math.sqrt(span / mean + 1.0) + 8)
+    top = np.max(span)
+    k0 = int(top / mean * 1.1 + 10.0 * math.sqrt(top / mean + 1.0) + 8)
     gaps = _ref_draw_gaps(dist, rng, (rows, k0))
     if lead is not None:
         gaps[:, 0] = lead
     cum = np.cumsum(gaps, axis=1)
-    while cum[:, -1].min() <= span:
+    while np.any(cum[:, -1] <= span):
         short = cum[:, -1] <= span
         extra = _ref_draw_gaps(dist, rng, (int(short.sum()), k0))
         add = np.cumsum(extra, axis=1) + cum[short, -1][:, None]
@@ -355,19 +387,25 @@ def _ref_cum(dist, rng, rows, span, lead=None):
 
 
 def _ref_inspection(dist, horizon, n, rng):
-    lengths, waits = [], []
+    # per chunk: every inspection time first, then blocks of streams in stably sorted
+    # time order, each drawn to its own largest time, results put back in draw order
+    lengths, waits = [None] * n, [None] * n
     for lo in range(0, n, T._CHUNK):
         rows = min(T._CHUNK, n - lo)
-        cum = _ref_cum(dist, rng, rows, horizon)
         t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=rows)
-        j = (cum <= t[:, None]).sum(axis=1)
-        nxt = cum[np.arange(rows), j]
-        prev = np.where(j > 0, cum[np.arange(rows), np.maximum(j - 1, 0)], 0.0)
-        for L, w in zip(nxt - prev, nxt - t):
-            if not 0.0 <= w <= L + 1e-12:
-                raise ValueError(f"wait {w} exceeds interval {L}")
-            lengths.append(float(L))
-            waits.append(float(w))
+        order = sorted(range(rows), key=lambda i: t[i])
+        for b in range(0, rows, T._BLOCK):
+            idx = np.array(order[b : b + T._BLOCK])
+            tb = t[idx]
+            cum = _ref_cum(dist, rng, idx.size, tb)
+            j = (cum <= tb[:, None]).sum(axis=1)
+            nxt = cum[np.arange(idx.size), j]
+            prev = np.where(j > 0, cum[np.arange(idx.size), np.maximum(j - 1, 0)], 0.0)
+            for i, L, w in zip(idx, nxt - prev, nxt - tb):
+                if not 0.0 <= w <= L + 1e-12:
+                    raise ValueError(f"wait {w} exceeds interval {L}")
+                lengths[lo + i] = float(L)
+                waits[lo + i] = float(w)
     return np.array(lengths), np.array(waits)
 
 
@@ -439,6 +477,7 @@ def test_inspection_columns_match_per_sample_reference(dist, horizon):
 def test_widened_inspection_matches_per_sample_reference(monkeypatch):
     for dist, horizon, chunk in ((RARE_LONG_GAP, 60.0, 1_000), (CREEPING_GAP, 100.0, 300)):
         monkeypatch.setattr(T, "_CHUNK", chunk)
+        monkeypatch.setattr(T, "_BLOCK", chunk // 3 + 7)    # a short last block per chunk
         n = 3 * chunk
         out = sb.simulate_renewal_inspection(dist, horizon, n, np.random.default_rng(n))
         lengths, waits = _ref_inspection(dist, horizon, n, np.random.default_rng(n))
