@@ -263,14 +263,12 @@ def log_convexity_check(fX: DiscreteDist) -> bool:
 # delay equations with uniform increments
 # ===================================================================
 
-def _check_mean(a):
+def _check_delay(a, h, xmax):
+    """Refuse a mean or grid the march cannot run, a/h overflow included; return 1/h."""
     if not math.isfinite(a):
         raise DomainError(f"mean must be finite, got {a}")
     if a <= 0:
         raise DomainError(f"mean must be positive, got {a}")
-
-
-def _check_grid(h, xmax):
     if not 0 < h <= 1e-3 + 1e-15:
         raise DomainError(f"grid step {h} outside (0, 1e-3]")
     if not math.isfinite(xmax):
@@ -281,56 +279,61 @@ def _check_grid(h, xmax):
     m1 = round(1.0 / h)
     if abs(1.0 / h - m1) > 1e-6:
         raise DomainError("1/h must be an integer so the unit delay sits on the grid")
+    if not math.isfinite(a / h):
+        raise DomainError(f"mean {a:g} too large for grid step {h:g}: a/h overflows")
     return m1
 
 
-def _check_rate(a, h):
-    """Refuse a mean whose per-step coefficient a/h overflows before marching."""
-    if not math.isfinite(a / h):
-        raise DomainError(f"mean {a:g} too large for grid step {h:g}: a/h overflows")
+def _delay_march(a, h, xmax, m1, mb, f, t=None, w=1.0):
+    """March f(x) = (a/x) [t(x) + w (F(x-b) - F(x-1))] from the seed f to xmax; return f, F(xmax).
+
+    F is the running trapezoid integral, zero left of the grid; b = mb h.  At mb = 0 F(x)
+    holds the new value's half panel, so the step is implicit, with denominator 1 - a h/(2x),
+    and t is unused.  Python floats round each + - * / as numpy scalars do, in the same order.
+    """
+    x = h * np.arange(len(f), round(xmax / h) + 1)
+    if mb == 0:
+        d = 1.0 - a * h / (2.0 * x)
+        if not d[0] > 0.0:      # d grows with x, so the first step is the worst
+            raise DomainError(f"step {h:g} too coarse for mean {a:g}: the implicit "
+                                f"denominator {d[0]:.3g} is not positive (need a*h < 2(1 + h))")
+        t = d.tolist()      # each step reads its denominator where b > 0 reads the atom term
+    # P[j] = F(x_j - 1) and P[j + m1 - mb] = F(x_j - b)
+    P = [0.0] * (m1 + 1) + np.cumsum(0.5 * h * (f[1:] + f[:-1])).tolist()
+    f = f.tolist()
+    hh, off = 0.5 * h, m1 - mb
+    fp, Fp = f[-1], P[-1]
+    for j, cj, tj in zip(range(len(f), len(f) + len(x)), (a / x).tolist(), t):
+        if mb:
+            fj = cj * (tj + w * (P[j + off] - P[j]))
+        else:
+            fj = cj * ((Fp + hh * fp) - P[j]) / tj
+        Fp, fp = Fp + hh * (fp + fj), fj
+        f.append(fj)
+        P.append(Fp)
+    return f, Fp
 
 
 def dickman_solve(a: float, h: float = 1e-3, xmax: float = 5.0) -> GridDensity:
     """Density of the fixed point whose increment is Uniform(0,1).
 
     Solves f(x) = (a/x) * integral of f over (x-1, x) by marching the
-    grid, seeded with the analytic power form C*x^(a-1) on (0,1].  The
-    output is normalized to unit mass; its mean lands on a to about 1e-4,
-    which tests use as the accuracy certificate.  At a=1 this is the
-    rough-number density: e^(-gamma) times the classical decay function.
+    grid, seeded with the analytic power form C*x^(a-1) on (0,1].  The output
+    is divided by its integral over [0, xmax], which hides the mass cut at
+    xmax: at the default xmax = 5 the mean is 0.9997 at a=1 and 4.23 at a=7.
+    Past the mass it lands on a to about 1e-4 (6.99999 at a=7, xmax=18), the
+    tests' accuracy certificate.  At a=1 this is the rough-number density:
+    e^(-gamma) times the classical decay function.
     """
-    _check_mean(a)
-    m1 = _check_grid(h, xmax)
-    _check_rate(a, h)
-    J = round(xmax / h)
-    x = h * np.arange(J + 1)
-    # per-step coefficient a/x and implicit denominator 1 - a h/(2x) for j > m1
-    c = a / x[m1 + 1 :]
-    d = 1.0 - a * h / (2.0 * x[m1 + 1 :])
-    if not d[0] > 0.0:      # d grows with x, so the first step is the worst
-        raise DomainError(f"step {h:g} too coarse for mean {a:g}: the implicit "
-                            f"denominator {d[0]:.3g} is not positive (need a*h < 2(1 + h))")
+    m1 = _check_delay(a, h, xmax)
     f = np.zeros(m1 + 1)
-    f[1:] = x[1 : m1 + 1] ** (a - 1.0)
-    # endpoint value chosen so the first trapezoid panel matches the
-    # exact integral h^a/a of the seed
+    f[1:] = (h * np.arange(1, m1 + 1)) ** (a - 1.0)
+    # the endpoint makes the first trapezoid panel the seed's exact integral h^a/a
     f[0] = max(2.0 * h ** (a - 1.0) / a - f[1], 0.0)
     if not math.isfinite(f[0]):
         raise DomainError(f"mean {a:g} is below {2.0 * h ** (a - 1.0) / np.finfo(float).max:.4g}, "
                           f"the smallest at grid step {h:g}: the seed 2 h^(a-1)/a overflows")
-    F = np.zeros(m1 + 1)
-    np.cumsum(0.5 * h * (f[1:] + f[:m1]), out=F[1:])
-    # march on Python floats: each + - * / rounds as the numpy scalar did,
-    # in the same order, at a fraction of the cost per step
-    f, F = f.tolist(), F.tolist()
-    hh = 0.5 * h
-    fp, Fp = f[-1], F[-1]
-    for back, cj, dj in zip(range(1, J - m1 + 1), c.tolist(), d.tolist()):
-        fj = cj * ((Fp + hh * fp) - F[back]) / dj
-        Fp = Fp + hh * (fp + fj)
-        fp = fj
-        f.append(fj)
-        F.append(Fp)
+    f, Fp = _delay_march(a, h, xmax, m1, 0, f)
     if not math.isfinite(Fp):
         raise SupportOverflow(f"the density's integral at mean {a:g} leaves the double range "
                               f"before xmax = {xmax:g}")
@@ -348,35 +351,17 @@ def buchstab_solve(a: float, b: float, h: float = 1e-3, xmax: float = 8.0) -> Gr
     The result is left unnormalized: atom + integral = 1 is the
     accuracy certificate, not an enforced identity.
     """
-    _check_mean(a)
+    m1 = _check_delay(a, h, xmax)
     if not 0.0 < b < 1.0:
         raise DomainError(f"b must be in (0, 1), got {b}")
-    m1 = _check_grid(h, xmax)
     mb = round(b / h)
     if abs(b / h - mb) > 1e-9 or mb == 0:
         raise DomainError(f"b = {b} must sit on the grid of step {h}, past its first point")
-    _check_rate(a, h)
-    atom0 = b ** (a / (1.0 - b))
-    J = round(xmax / h)
-    x = h * np.arange(J + 1)
-    w = 1.0 / (1.0 - b)
-    c = a / x[1:]
-    atom = np.zeros(J + 1)
-    atom[mb + 1 : m1] = atom0 * w
-    atom[[mb, m1]] = 0.5 * atom0 * w     # average across the jump
-    # P[i] = F[i - m1], zero before the grid starts, so F[j - m1] = P[j]
-    # and F[j - mb] = P[j + m1 - mb] need no branch
-    P = [0.0] * (m1 + 1)
-    f = [0.0]
-    hh = 0.5 * h
-    fp = Fp = 0.0
-    off = m1 - mb
-    for j, cj, tj in zip(range(1, J + 1), c.tolist(), atom[1:].tolist()):
-        fj = cj * (tj + w * (P[j + off] - P[j]))
-        Fp = Fp + hh * (fp + fj)
-        fp = fj
-        f.append(fj)
-        P.append(Fp)
+    atom0, w = b ** (a / (1.0 - b)), 1.0 / (1.0 - b)
+    # the atom term at x_1 .. x_J, averaged across the jumps at b and 1
+    t = ([0.0] * (mb - 1) + [0.5 * atom0 * w] + [atom0 * w] * (m1 - mb - 1)
+         + [0.5 * atom0 * w] + [0.0] * (round(xmax / h) - m1))
+    f, Fp = _delay_march(a, h, xmax, m1, mb, np.zeros(1), t, w)
     if abs(atom0 + Fp - 1.0) > 1e-3:
         raise TruncationTooSevere(
             f"domain [0, {xmax}] cuts off {abs(atom0 + Fp - 1.0):.2e} of the mass; raise xmax")

@@ -450,8 +450,8 @@ def test_delay_marches_keep_the_numpy_scalar_bits(h):
     # the solvers march on Python floats; each step must round as the
     # numpy-scalar march did
     for a, xmax in ((0.3, 4.0), (1.0, 6.0), (2.5, 10.0), (7.0, 18.0)):
-        g = sb.dickman_solve(a, h=h, xmax=4.0)
-        assert _same_bits(g.values, _dickman_reference(a, h, 4.0)), (a, h)
+        g = sb.dickman_solve(a, h=h, xmax=xmax)
+        assert _same_bits(g.values, _dickman_reference(a, h, xmax)), (a, h)
         for b in (0.2, 0.5, 0.75):
             g = sb.buchstab_solve(a, b, h=h, xmax=xmax)
             want, atom0 = _buchstab_reference(a, b, h, xmax)
