@@ -76,6 +76,7 @@ from .midzuno import (
     exact_expectation,
 )
 from .stochastic import (
+    Inspections,
     simulate_renewal_inspection,
     sample_stationary_phase,
     stationary_renewal_arrivals,

@@ -121,24 +121,24 @@ def json_text(value) -> str:
 def csv_text(value) -> str:
     """Two-column flattening: one row per scalar leaf, path in column 1.
 
-    Strings take CSV quoting; every other leaf is written as json_text writes it.
+    Strings take CSV quoting; every other leaf is written as json_text writes it,
+    a list of floats in one _float_seq call.
     """
     lines = ["key,value"]
-
-    def scalar(v):
-        if not isinstance(v, str):
-            return json_text(v)
-        return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
 
     def walk(path, v):
         if isinstance(v, dict):
             for k, x in v.items():
                 walk(f"{path}.{k}" if path else str(k), x)
+        elif isinstance(v, (list, tuple)) and v and all(type(x) is float for x in v):
+            lines.extend(f"{path}[{i}],{s}" for i, s in enumerate(_float_seq(v)[1:-1].split(", ")))
         elif isinstance(v, (list, tuple, np.ndarray)):
             for i, x in enumerate(v):
                 walk(f"{path}[{i}]", x)
+        elif isinstance(v, str):
+            lines.append(f"{path}," + ('"' + v.replace('"', '""') + '"' if "," in v or '"' in v else v))
         else:
-            lines.append(f"{path},{scalar(v)}")
+            lines.append(f"{path},{json_text(v)}")
 
     walk("", value)
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,26 +46,30 @@ def _interarrival_mean(dist) -> float:
 
 
 def _arrival_chunks(dist, rng, n, span, lead=None):
-    """Yield (rows, cum): cumulative arrival times of the streams ``rows``, each past its span.
+    """Yield (rows, cum, base): a round of cumulative arrivals of the streams ``rows``.
 
     ``span`` is one value for all n streams or one per stream.  Each chunk of up to
     _CHUNK streams is sorted, stably, by span and drawn a block at a time, each block
     only to its largest span: the whole chunk for one span, _BLOCK streams for
-    per-stream spans.  ``rows`` indexes a block's streams in that order.
+    per-stream spans.  ``rows`` indexes a round's streams in that order.
 
-    Checks the law and ARRIVAL_CELL_CAP, then draws every block into one buffer,
-    sized once for the largest span, k0 gaps a row (enough for nearly every row), and
-    sums it in place; ``lead(dist, rows, rng)``, when given, draws a chunk's first
-    arrivals before its gaps.  Rows still short of their span get k0 more arrivals a
-    round, those rows alone, each width checked against the cap first; the rounds are
-    joined once, inf-padded.
+    Checks the law and ARRIVAL_CELL_CAP, then draws every round into one buffer, sized
+    once for the largest span at k0 gaps a row (enough for nearly every row), and sums
+    it in place; ``lead(dist, rows, rng)``, when given, draws a chunk's first arrivals
+    before its gaps.  A block's first round is k0 gaps a row for one span and the
+    block's mean count, its largest span over the mean gap plus 8, for per-stream spans.
+    Rows still short of their span draw again, those rows alone, from ``base``, their
+    last arrival so far (0 in a first round): k0 gaps for one span, else enough to
+    cover the largest distance a short row has left.  Each round is yielded before
+    the next is drawn over it.
     """
     mean = _interarrival_mean(dist)
 
     def gaps_to(s):
         return s / mean * 1.1 + 10.0 * math.sqrt(s / mean + 1.0) + 8
 
-    block = _BLOCK if np.ndim(span) else _CHUNK
+    per_stream = np.ndim(span) > 0
+    block = _BLOCK if per_stream else _CHUNK
     spans = np.broadcast_to(np.asarray(span, dtype=float), (n,))
     top = float(spans.max(initial=0.0))
     check_work(min(n, block) * gaps_to(top), ARRIVAL_CELL_CAP, "arrival cells",
@@ -77,33 +82,25 @@ def _arrival_chunks(dist, rng, n, span, lead=None):
         for b in range(0, rows, block):
             part = order[b : b + block]
             s = spans[lo + part]
-            reach = float(s.max())
-            k0 = int(gaps_to(reach))
-            cum = buf[: part.size * k0].reshape(part.size, k0)
+            k = int(s.max() / mean) + 8 if per_stream else int(gaps_to(float(s.max())))
+            cum = buf[: part.size * k].reshape(part.size, k)
             dist.fill(rng, cum)
             if first is not None:
                 cum[:, 0] = first[part]
             np.cumsum(cum, axis=1, out=cum)
-            last = cum[:, -1].copy()
-            rounds = []
-            while (last <= s).any():
-                short = np.flatnonzero(last <= s)
-                check_work(part.size * k0 * (len(rounds) + 2), ARRIVAL_CELL_CAP, "arrival cells",
-                           f"drawing {part.size} streams to {reach:.4g}")
-                extra = dist.sample(rng, (short.size, k0))
-                np.cumsum(extra, axis=1, out=extra)
-                extra += last[short, None]
-                last[short] = extra[:, -1]
-                rounds.append((short, extra))
-            if rounds:
-                joined = np.full((part.size, k0 * (len(rounds) + 1)), np.inf)
-                joined[:, :k0] = cum
-                for r, (short, extra) in enumerate(rounds, 1):
-                    joined[short, r * k0 : (r + 1) * k0] = extra
-                cum = joined
-                del rounds, short, extra, joined
-            yield lo + part, cum
-            del cum     # a joined matrix must not stay alive through the next block's draw
+            base = np.zeros(part.size)
+            while True:
+                yield lo + part, cum, base
+                short = np.flatnonzero(cum[:, -1] <= s)
+                if not short.size:
+                    break
+                part, s, base = part[short], s[short], cum[short, -1]
+                if per_stream:
+                    k = int(gaps_to(float((s - base).max())))
+                cum = buf[: part.size * k].reshape(part.size, k)
+                dist.fill(rng, cum)
+                np.cumsum(cum, axis=1, out=cum)
+                cum += base[:, None]
 
 
 def _count_at_most(cum, t) -> np.ndarray:
@@ -123,7 +120,38 @@ def _count_at_most(cum, t) -> np.ndarray:
 # inspection paradox
 # ===================================================================
 
-def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np.recarray:
+class Inspection(NamedTuple):
+    """One inspection: the covering interval's length and the wait to its end."""
+
+    covering_length: float
+    residual_wait: float
+
+
+class Inspections:
+    """Inspection results as two float columns, one row per inspection.
+
+    Iterating yields ``Inspection`` rows, built one at a time from the
+    columns' Python floats.  The columns cannot be rebound.  Slotted by
+    hand: a frozen dataclass's generated methods would cost every import.
+    """
+
+    __slots__ = ("covering_length", "residual_wait")
+
+    def __init__(self, covering_length: np.ndarray, residual_wait: np.ndarray):
+        object.__setattr__(self, "covering_length", covering_length)
+        object.__setattr__(self, "residual_wait", residual_wait)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.covering_length)
+
+    def __iter__(self):
+        return map(Inspection, self.covering_length.tolist(), self.residual_wait.tolist())
+
+
+def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> Inspections:
     """Inspect n independent renewal streams at uniform times.
 
     Each draw picks T uniform on [0.1 * horizon, 0.9 * horizon], builds
@@ -134,10 +162,13 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
     relative to a typical interarrival, which is the paradox.
 
     Each chunk of up to _CHUNK streams draws its T first, then its gaps
-    in blocks of streams sorted by T, each block only to its largest T
-    (``_arrival_chunks``); results land in draw order.
+    in blocks of streams sorted by T (``_arrival_chunks``): a first round
+    of the block's mean count to its largest T, then rounds for the rows
+    still short of their T alone.  A row is read in the round that passes
+    its T, the round's base standing in for the arrival before its first
+    column; results land in draw order.
 
-    Returns a record array with float columns ``covering_length`` and
+    Returns ``Inspections``, float columns ``covering_length`` and
     ``residual_wait``, one row per inspection.
     """
     mean = _interarrival_mean(interarrival)
@@ -149,18 +180,20 @@ def simulate_renewal_inspection(interarrival, horizon: float, n: int, rng) -> np
     waits = np.empty(n)
     for lo in range(0, n, _CHUNK):
         t = rng.uniform(0.1 * horizon, 0.9 * horizon, size=min(_CHUNK, n - lo))
-        for rows, cum in _arrival_chunks(interarrival, rng, t.size, t):
-            tr, k = t[rows], np.arange(len(cum))
+        for rows, cum, base in _arrival_chunks(interarrival, rng, t.size, t):
+            tr = t[rows]
             j = _count_at_most(cum, tr)
+            k = np.flatnonzero(j < cum.shape[1])    # rows whose next arrival is in this round
+            j, tr, out = j[k], tr[k], lo + rows[k]
             nxt = cum[k, j]
-            prev = np.where(j > 0, cum[k, np.maximum(j - 1, 0)], 0.0)
-            lengths[lo + rows] = nxt - prev
-            waits[lo + rows] = nxt - tr
-            del cum     # let a joined matrix go before the next block is drawn
+            prev = np.where(j > 0, cum[k, np.maximum(j - 1, 0)], base[k])
+            lengths[out] = nxt - prev
+            waits[out] = nxt - tr
+            del cum     # a view of this chunk's buffer must not outlive it into the next chunk
     bad = np.flatnonzero(~((waits >= 0.0) & (waits <= lengths + 1e-12)))
     if bad.size:
         raise BoundViolated(f"wait {waits[bad[0]]} exceeds interval {lengths[bad[0]]}")
-    return np.rec.fromarrays([lengths, waits], names="covering_length,residual_wait")
+    return Inspections(lengths, waits)
 
 
 def sample_stationary_phase(interarrival, n: int, rng) -> np.ndarray:
@@ -183,10 +216,9 @@ def stationary_renewal_arrivals(interarrival, window_t: float, n: int, rng) -> n
     """
     if not (math.isfinite(window_t) and window_t > 0):
         raise DomainError(f"window must be positive and finite, got {window_t}")
-    counts = np.empty(n, dtype=np.int64)
-    for rows, cum in _arrival_chunks(interarrival, rng, n, window_t, sample_stationary_phase):
-        counts[rows] = _count_at_most(cum, window_t)
-        del cum     # let a joined matrix go before the next chunk is drawn
+    counts = np.zeros(n, dtype=np.int64)
+    for rows, cum, _ in _arrival_chunks(interarrival, rng, n, window_t, sample_stationary_phase):
+        counts[rows] += _count_at_most(cum, window_t)     # a short row's rounds add up
     return counts
 
 

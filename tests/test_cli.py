@@ -354,9 +354,10 @@ def test_renewal_pool_capped_at_streams_and_cpus(capsys, monkeypatch):
 
 def test_default_stdout_matches_golden(capsys):
     # the first ten take atoms only and involve no exp or log, so their bytes are portable
-    # (the tenth keeps the -0 support point the sort order gives); the last four (stein,
+    # (the tenth keeps the -0 support point the sort order gives); the next four (stein,
     # named binomials, borel, stieltjes) pin the saddle-point masses and the centred
-    # quadrature, whose last bits rest on numpy's exp, log and sin.  A delay-equation grid
+    # quadrature, whose last bits rest on numpy's exp, log and sin, as do the five after them
+    # (compound-poisson, orbit, berg, mixture-check, concentration).  A delay-equation grid
     # prints 60-100 KB, so those entries keep the SHA-256 of stdout instead; dickman at a = 1
     # and buchstab at a = 1, b = 0.5 take only +, -, *, / and exact powers (x^0 = 1,
     # 0.5^2 = 0.25), so their bytes are portable too

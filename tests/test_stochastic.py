@@ -117,14 +117,31 @@ def test_coupling_validation():
 # inspection paradox
 
 def test_inspection_invariant_is_checked(monkeypatch):
-    # unsorted arrivals give a negative wait, then a wait past a negative
-    # interval; sorted ones never break 0 <= wait <= length
+    # gaps that step back give unsorted arrivals: a negative wait, then a wait past a
+    # negative interval; sorted ones never break 0 <= wait <= length
     for row in ((0.95, 0.05, 2.0), (0.97, 0.96, 0.01, 2.0)):
-        monkeypatch.setattr(T, "_arrival_chunks", lambda dist, rng, n, span, row=row, **_:
-                            iter([(np.arange(n), np.tile(np.array(row) * 100.0, (n, 1)))]))
+        gaps = np.diff(np.array(row) * 100.0, prepend=0.0)
+
+        def fill(self, rng, out, gaps=gaps):
+            out[:] = 0.0
+            out[:, :gaps.size] = gaps
+
+        monkeypatch.setattr(sb.NamedDist, "fill", fill)
         with pytest.raises(ValueError, match="exceeds interval"):
             sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 100.0, 5,
                                            np.random.default_rng(0))
+
+
+def test_inspections_read_as_rows():
+    out = sb.simulate_renewal_inspection(sb.NamedDist("exponential", ()), 60.0, 300,
+                                         np.random.default_rng(5))
+    rows = list(out)
+    assert len(out) == len(rows) == 300
+    assert [r.covering_length for r in rows] == out.covering_length.tolist()
+    assert [r.residual_wait for r in rows] == out.residual_wait.tolist()
+    assert rows[0] == (out.covering_length[0], out.residual_wait[0])
+    with pytest.raises(AttributeError):
+        out.covering_length = out.residual_wait
 
 
 def test_horizon_guard():
@@ -285,10 +302,21 @@ def test_arrival_buffer_capped_before_allocating():
 
 
 def test_widening_is_capped_before_allocating(monkeypatch):
-    # 1,000 rows of 151 gaps fit under the cap; the first widening, to 302 gaps, does not
-    monkeypatch.setattr(T, "ARRIVAL_CELL_CAP", 200_000)
-    with pytest.raises(SupportOverflow, match=r"needs 3\.02e\+05 arrival cells"):
-        next(T._arrival_chunks(RARE_LONG_GAP, np.random.default_rng(0), 1_000, 60.0))
+    # rounds for short rows draw into the one buffer, so its check caps them too: 1,000 rows
+    # of 151 gaps (151,078 cells at the unrounded k0) take five more rounds at that cap,
+    # and one cell below it they are refused before any draw
+    mean = RARE_LONG_GAP.mean()
+    cells = math.ceil(1_000 * (60.0 / mean * 1.1 + 10.0 * math.sqrt(60.0 / mean + 1.0) + 8))
+    monkeypatch.setattr(T, "ARRIVAL_CELL_CAP", cells)
+    rounds = [rows.size for rows, _, _ in
+              T._arrival_chunks(RARE_LONG_GAP, np.random.default_rng(0), 1_000, 60.0)]
+    assert rounds == [1_000, 207, 46, 14, 4, 1]
+    monkeypatch.setattr(T, "ARRIVAL_CELL_CAP", cells - 1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(SupportOverflow, match=r"needs 1\.511e\+05 arrival cells"):
+        next(T._arrival_chunks(RARE_LONG_GAP, rng, 1_000, 60.0))
+    assert rng.bit_generator.state == state
 
 
 def test_inspection_holds_one_arrival_buffer():
@@ -308,21 +336,43 @@ def test_inspection_holds_one_arrival_buffer():
     assert peak <= 8 * (2 * n + 2 * T._CHUNK) + 1.3 * T._BLOCK * k0 * 8
 
 
-def test_widened_rows_are_joined_once():
+def test_widened_rows_draw_into_the_one_buffer():
     import tracemalloc
+    from sizebias.dist_core import BLOCK_CELLS
     sb.simulate_renewal_inspection(CREEPING_GAP, 100.0, 5, np.random.default_rng(0))  # lazy imports
     rng = np.random.default_rng(2)
     t = rng.uniform(10.0, 90.0, 500)    # the inspection's times, drawn before its gaps
-    width = next(T._arrival_chunks(CREEPING_GAP, rng, 500, t))[1].shape[1]
+    rounds = [cum.size for _, cum, _ in T._arrival_chunks(CREEPING_GAP, rng, 500, t)]
+    mean = CREEPING_GAP.mean()
+    k0 = int(t.max() / mean * 1.1 + 10.0 * math.sqrt(t.max() / mean + 1.0) + 8)
+    assert len(rounds) > 30 and max(rounds) <= 500 * k0
     tracemalloc.start()
     try:
         sb.simulate_renewal_inspection(CREEPING_GAP, 100.0, 500, np.random.default_rng(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the joined matrix, plus the buffer and the rounds (a sixth of its cells); copying
-    # the whole matrix at every widening held two at once
-    assert peak <= 1.3 * 8 * 500 * width
+    # the one 500 x k0 buffer, plus the atom sampler's three arrays of a row block; the
+    # 37 rounds joined side by side would take 25 such buffers
+    assert peak <= 8 * 500 * k0 + 3.3 * 8 * BLOCK_CELLS
+
+
+def test_inspection_draws_about_the_mean_count():
+    # exponential gaps at horizon 200: a stream uses about 101 gaps; a first round of the
+    # block's mean count and one refill for the short rows draw about 123 a stream, and a
+    # first round of k0 gaps (10 sd) would draw about 228
+    cells = []
+
+    def fill(self, rng, out, fill=sb.NamedDist.fill):
+        cells.append(out.size)
+        fill(self, rng, out)
+
+    expo = sb.NamedDist("exponential", ())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sb.NamedDist, "fill", fill)
+        out = sb.simulate_renewal_inspection(expo, 200.0, 20_000, np.random.default_rng(3))
+    assert len(out) == 20_000
+    assert sum(cells) <= 140 * 20_000
 
 
 # -------------------------------------------------------------------
@@ -386,9 +436,34 @@ def _ref_cum(dist, rng, rows, span, lead=None):
     return cum
 
 
+def _ref_block(dist, rng, tb):
+    # one block, rows in time order: a first round of the mean count to the largest time,
+    # then rounds for the rows still short alone, each sized by the k0 formula to the
+    # largest distance a short row has left; a row is read in the round that passes its
+    # time, and that round's base (the row's last arrival, 0 at first) comes before it
+    mean = dist.mean() if isinstance(dist, sb.DiscreteDist) else sb.named_mean(dist)
+    lengths, waits = np.empty(tb.size), np.empty(tb.size)
+    rows, base = np.arange(tb.size), np.zeros(tb.size)
+    k = int(tb.max() / mean) + 8
+    while rows.size:
+        cum = np.cumsum(_ref_draw_gaps(dist, rng, (rows.size, k)), axis=1) + base[:, None]
+        j = (cum <= tb[rows, None]).sum(axis=1)
+        for i, r in enumerate(rows):
+            if j[i] < k:
+                nxt = cum[i, j[i]]
+                prev = cum[i, j[i] - 1] if j[i] else base[i]
+                lengths[r], waits[r] = nxt - prev, nxt - tb[r]
+        rows, base = rows[j == k], cum[j == k, -1]
+        if rows.size:
+            d = float((tb[rows] - base).max())
+            k = int(d / mean * 1.1 + 10.0 * math.sqrt(d / mean + 1.0) + 8)
+    return lengths, waits
+
+
 def _ref_inspection(dist, horizon, n, rng):
     # per chunk: every inspection time first, then blocks of streams in stably sorted
-    # time order, each drawn to its own largest time, results put back in draw order
+    # time order, each drawn in rounds to its own largest time, results put back in
+    # draw order
     lengths, waits = [None] * n, [None] * n
     for lo in range(0, n, T._CHUNK):
         rows = min(T._CHUNK, n - lo)
@@ -396,12 +471,7 @@ def _ref_inspection(dist, horizon, n, rng):
         order = sorted(range(rows), key=lambda i: t[i])
         for b in range(0, rows, T._BLOCK):
             idx = np.array(order[b : b + T._BLOCK])
-            tb = t[idx]
-            cum = _ref_cum(dist, rng, idx.size, tb)
-            j = (cum <= tb[:, None]).sum(axis=1)
-            nxt = cum[np.arange(idx.size), j]
-            prev = np.where(j > 0, cum[np.arange(idx.size), np.maximum(j - 1, 0)], 0.0)
-            for i, L, w in zip(idx, nxt - prev, nxt - tb):
+            for i, L, w in zip(idx, *_ref_block(dist, rng, t[idx])):
                 if not 0.0 <= w <= L + 1e-12:
                     raise ValueError(f"wait {w} exceeds interval {L}")
                 lengths[lo + i] = float(L)
@@ -469,7 +539,7 @@ def test_inspection_columns_match_per_sample_reference(dist, horizon):
     n = 45_000      # past two chunk boundaries
     out = sb.simulate_renewal_inspection(dist, horizon, n, np.random.default_rng(n))
     lengths, waits = _ref_inspection(dist, horizon, n, np.random.default_rng(n))
-    assert out.shape == (n,)
+    assert len(out) == n
     assert np.array_equal(out.covering_length, lengths)
     assert np.array_equal(out.residual_wait, waits)
 
